@@ -485,7 +485,16 @@ def cmd_validate(args):
         doc = json.loads(_read(args.witness))
     except json.JSONDecodeError as exc:
         raise FileFormatError(str(exc), path=args.witness) from None
-    ok, message = report.validate_witness(doc)
+    try:
+        ok, message = report.validate_witness(doc)
+    except KeyError as exc:
+        raise FileFormatError(
+            f"malformed witness: missing field {exc}", path=args.witness
+        ) from None
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise FileFormatError(
+            f"malformed witness: {exc}", path=args.witness
+        ) from None
     _emit(args, {
         "command": "validate",
         "config": _config_of(args, ["witness"]),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -66,9 +67,11 @@ def verify_rainbow(
 ) -> RainbowReport:
     """Check that every (or each sampled) t-set spans at least p colours.
 
-    ``workers > 1`` splits an exhaustive enumeration across processes;
-    the reduction keeps the lexicographically least violating set, so the
-    verdict and witness match the serial run.
+    ``workers`` must be at least 1 and is capped at the CPU count.
+    ``workers > 1`` splits an exhaustive enumeration across processes by
+    least vertex and replays the parts in order up to the first violation,
+    so the report (verdict, witness, histogram and ``sets_checked``)
+    equals the serial run's.
     """
     k = colouring.uniformity
     n = colouring.num_vertices
@@ -76,6 +79,8 @@ def verify_rainbow(
         raise ParameterError(f"t = {t} below the uniformity {k}")
     if p < 1:
         raise ParameterError("p must be positive")
+    if workers < 1:
+        raise ParameterError(f"workers = {workers}, must be at least 1")
     if mode == "exhaustive":
         work = math.comb(n, t) * math.comb(t, k)
         if work > budget:
@@ -85,25 +90,48 @@ def verify_rainbow(
                 estimate=work,
                 budget=budget,
             )
+        firsts = range(1, n - t + 2)
+        workers = min(workers, os.cpu_count() or 1)
         if workers > 1:
-            return _verify_exhaustive_parallel(colouring, t, p, workers)
-        sets = itertools.combinations(range(1, n + 1), t)
-        coverage = "exhaustive"
-        total = None
+            from concurrent.futures import ProcessPoolExecutor
+
+            jobs = [(colouring, t, p, firsts[i::workers]) for i in range(workers)]
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                parts = [x for chunk in pool.map(_scan_firsts, jobs) for x in chunk]
+        else:
+            parts = _scan_firsts((colouring, t, p, firsts))
+        violation, hist, checked = _replay(parts)
     elif mode == "sampled":
         rng = random.Random(seed)
-
-        def sample():
-            for _ in range(trials):
-                yield _sample_set(rng, n, t)
-
-        sets = sample()
-        coverage = "sampled"
-        total = trials
+        sets = (_sample_set(rng, n, t) for _ in range(trials))
+        violation, hist, checked = _scan(colouring, sets, p, {})
     else:
         raise ParameterError(f"unknown mode {mode!r}")
 
-    cache: dict = {}
+    sampled = mode == "sampled"
+    violating_set, violating_colours = violation or (None, ())
+    return RainbowReport(
+        passed=violation is None,
+        t=t,
+        p=p,
+        coverage=mode,
+        violating_set=violating_set,
+        violating_colours=violating_colours,
+        histogram=hist,
+        sets_checked=checked,
+        trials=trials if sampled else None,
+        seed=seed if sampled else None,
+    )
+
+
+def _scan(colouring, sets, p, cache):
+    """Span histogram of ``sets`` in order, stopping at the first set that
+    spans fewer than p colours.
+
+    Returns ``(violation, histogram, count)`` where ``violation`` is
+    ``(set, sorted colours)`` or ``None``; ``cache`` memoizes edge colours.
+    """
+    k = colouring.uniformity
     colour = colouring.colour
     hist: dict[int, int] = {}
     checked = 0
@@ -118,28 +146,39 @@ def verify_rainbow(
         span = len(seen)
         hist[span] = hist.get(span, 0) + 1
         if span < p:
-            return RainbowReport(
-                passed=False,
-                t=t,
-                p=p,
-                coverage=coverage,
-                violating_set=ts,
-                violating_colours=tuple(sorted(seen)),
-                histogram=hist,
-                sets_checked=checked,
-                trials=total,
-                seed=seed if coverage == "sampled" else None,
-            )
-    return RainbowReport(
-        passed=True,
-        t=t,
-        p=p,
-        coverage=coverage,
-        histogram=hist,
-        sets_checked=checked,
-        trials=total,
-        seed=seed if coverage == "sampled" else None,
-    )
+            return (ts, tuple(sorted(seen))), hist, checked
+    return None, hist, checked
+
+
+def _scan_firsts(args):
+    """Scan the t-sets by least vertex, one ``(first, _scan result)`` part
+    per least vertex in ``firsts``, up to the first violating part."""
+    colouring, t, p, firsts = args
+    n = colouring.num_vertices
+    cache: dict = {}
+    parts = []
+    for first in firsts:
+        rests = itertools.combinations(range(first + 1, n + 1), t - 1)
+        part = _scan(colouring, map((first,).__add__, rests), p, cache)
+        parts.append((first, part))
+        if part[0] is not None:
+            break
+    return parts
+
+
+def _replay(parts):
+    """Merge per-least-vertex parts in vertex order, up to and including
+    the first part that holds a violation: the serial scan's result."""
+    hist: dict[int, int] = {}
+    checked = 0
+    violation = None
+    for _, (violation, h, count) in sorted(parts, key=lambda part: part[0]):
+        checked += count
+        for span, cnt in h.items():
+            hist[span] = hist.get(span, 0) + cnt
+        if violation is not None:
+            break
+    return violation, hist, checked
 
 
 def _sample_set(rng, n, t):
@@ -151,66 +190,6 @@ def _sample_set(rng, n, t):
     while len(got) < t:
         got.add(1 + rng.randrange(n))
     return tuple(sorted(got))
-
-
-def _span_chunk(args):
-    colouring, t, p, first_range = args
-    k = colouring.uniformity
-    n = colouring.num_vertices
-    cache: dict = {}
-    colour = colouring.colour
-    hist: dict[int, int] = {}
-    worst = None
-    checked = 0
-    for first in first_range:
-        for rest in itertools.combinations(range(first + 1, n + 1), t - 1):
-            ts = (first,) + rest
-            seen = set()
-            for e in itertools.combinations(ts, k):
-                c = cache.get(e)
-                if c is None:
-                    c = cache[e] = colour(e)
-                seen.add(c)
-            checked += 1
-            span = len(seen)
-            hist[span] = hist.get(span, 0) + 1
-            if span < p and (worst is None or ts < worst[0]):
-                worst = (ts, tuple(sorted(seen)))
-    return worst, hist, checked
-
-
-def _verify_exhaustive_parallel(colouring, t, p, workers) -> RainbowReport:
-    from concurrent.futures import ProcessPoolExecutor
-
-    n = colouring.num_vertices
-    firsts = list(range(1, n - t + 2))
-    chunks = [firsts[i::workers] for i in range(workers)]
-    jobs = [(colouring, t, p, chunk) for chunk in chunks if chunk]
-    hist: dict[int, int] = {}
-    worst = None
-    checked = 0
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for w, h, c in pool.map(_span_chunk, jobs):
-            checked += c
-            for span, cnt in h.items():
-                hist[span] = hist.get(span, 0) + cnt
-            if w is not None and (worst is None or w[0] < worst[0]):
-                worst = w
-    if worst is not None:
-        return RainbowReport(
-            passed=False,
-            t=t,
-            p=p,
-            coverage="exhaustive",
-            violating_set=worst[0],
-            violating_colours=worst[1],
-            histogram=hist,
-            sets_checked=checked,
-        )
-    return RainbowReport(
-        passed=True, t=t, p=p, coverage="exhaustive", histogram=hist,
-        sets_checked=checked,
-    )
 
 
 @dataclass(frozen=True)

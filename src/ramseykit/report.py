@@ -108,25 +108,18 @@ def colouring_spec(c) -> dict:
             }
         return {"type": "tabulated", "data": stepup.format_tabulated(c)}
     if isinstance(c, stepup.SteppedPlusOne):
-        name = "up1b" if c.aliased else "up1"
-        spec = colouring_spec(c.base)
-        steps = spec.pop("steps", [])
-        steps.append([name, c.partition.k, c.partition.p])
-        base = spec if spec.get("type") != "schedule" else spec["base"]
-        return {"type": "schedule", "base": base, "steps": steps}
-    if isinstance(c, stepup.SteppedDouble):
-        spec = colouring_spec(c.base)
-        steps = spec.pop("steps", [])
-        steps.append(["up2", c.base.uniformity, c.p])
-        base = spec if spec.get("type") != "schedule" else spec["base"]
-        return {"type": "schedule", "base": base, "steps": steps}
-    if isinstance(c, hedgehog.LiftedColouring):
-        spec = colouring_spec(c.base)
-        steps = spec.pop("steps", [])
-        steps.append(["lift", c.base.uniformity, c.uniformity])
-        base = spec if spec.get("type") != "schedule" else spec["base"]
-        return {"type": "schedule", "base": base, "steps": steps}
-    raise ParameterError(f"cannot describe colouring kind {c.kind!r}")
+        step = ["up1b" if c.aliased else "up1", c.partition.k, c.partition.p]
+    elif isinstance(c, stepup.SteppedDouble):
+        step = ["up2", c.base.uniformity, c.p]
+    elif isinstance(c, hedgehog.LiftedColouring):
+        step = ["lift", c.base.uniformity, c.uniformity]
+    else:
+        raise ParameterError(f"cannot describe colouring kind {c.kind!r}")
+    spec = colouring_spec(c.base)
+    steps = spec.pop("steps", [])
+    steps.append(step)
+    base = spec if spec.get("type") != "schedule" else spec["base"]
+    return {"type": "schedule", "base": base, "steps": steps}
 
 
 def build_colouring(spec: dict):

@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import FileFormatError, ParameterError
-from . import seqpat
+from . import delta, seqpat
 
 __all__ = [
     "colour_str",
@@ -342,10 +342,9 @@ def partition_patterns(k: int, p: int) -> PatternClassPartition:
 # ---------------------------------------------------------------------------
 
 def _edge_deltas(e) -> tuple[int, ...]:
-    """Consecutive highest-differing-bit positions of a sorted edge."""
-    return tuple(
-        ((a - 1) ^ (b - 1)).bit_length() for a, b in zip(e, e[1:])
-    )
+    """Consecutive deltas of a sorted edge (vertex v is the bit vector of v - 1)."""
+    values = [v - 1 for v in e]
+    return tuple(map(delta.delta_bits, values, values[1:]))
 
 
 class SteppedPlusOne(Colouring):
@@ -385,18 +384,22 @@ class SteppedPlusOne(Colouring):
     def colour_of_deltas(self, ds: tuple[int, ...]):
         got = self._memo.get(ds)
         if got is None:
-            got = self._memo[ds] = self._dispatch(ds)
+            got = self._memo[ds] = self._dispatch(ds)[1]
         return got
 
     def _dispatch(self, ds):
+        """``(case, colour)`` of a delta sequence: increasing, decreasing,
+        or the pattern class of the sequence."""
         if all(a < b for a, b in zip(ds, ds[1:])):
             c = self.base.colour(ds)
-            return c if self.aliased else ("prod", c, 1)
+            return "increasing", c if self.aliased else ("prod", c, 1)
         if all(a > b for a, b in zip(ds, ds[1:])):
             c = self.base.colour(tuple(reversed(ds)))
-            return c if self.aliased else ("prod", c, 2)
+            return "decreasing", c if self.aliased else ("prod", c, 2)
         i = self.partition.class_index[seqpat.pattern_of(ds)]
-        return self.base.palette()[i - 1] if self.aliased else ("class", i)
+        return f"class {i}", (
+            self.base.palette()[i - 1] if self.aliased else ("class", i)
+        )
 
     def _colour(self, e):
         return self.colour_of_deltas(_edge_deltas(e))
@@ -413,18 +416,13 @@ class SteppedPlusOne(Colouring):
     def explain(self, edge) -> dict:
         e = self.check_edge(edge)
         ds = _edge_deltas(e)
-        if all(a < b for a, b in zip(ds, ds[1:])):
-            case = "increasing"
-        elif all(a > b for a, b in zip(ds, ds[1:])):
-            case = "decreasing"
-        else:
-            case = f"class {self.partition.class_index[seqpat.pattern_of(ds)]}"
+        case, colour = self._dispatch(ds)
         info = {
             "kind": self.kind,
             "edge": e,
             "deltas": ds,
             "case": case,
-            "colour": colour_str(self._colour(e)),
+            "colour": colour_str(colour),
         }
         if case in ("increasing", "decreasing"):
             info["base"] = self.base.explain(sorted(ds))
@@ -466,14 +464,18 @@ class SteppedDouble(Colouring):
     def colour_of_odd_deltas(self, odds: tuple[int, ...]):
         got = self._memo.get(odds)
         if got is None:
-            pat = seqpat.pattern_of(odds)
-            i = self._perm_index.get(pat)
-            if i is None or i > self.p:
-                got = ("prod", self.base.palette()[0], 1)
-            else:
-                got = ("prod", self.base.colour(tuple(sorted(odds))), i)
-            self._memo[odds] = got
+            got = self._memo[odds] = self._dispatch(odds)[1]
         return got
+
+    def _dispatch(self, odds):
+        """``(case, colour)`` of the odd-position deltas: the permutation
+        tag of their pattern, or the sentinel."""
+        i = self._perm_index.get(seqpat.pattern_of(odds))
+        if i is None or i > self.p:
+            return "sentinel", ("prod", self.base.palette()[0], 1)
+        return f"permutation {i}", (
+            "prod", self.base.colour(tuple(sorted(odds))), i
+        )
 
     def _colour(self, e):
         return self.colour_of_odd_deltas(_edge_deltas(e)[0::2])
@@ -489,16 +491,14 @@ class SteppedDouble(Colouring):
         e = self.check_edge(edge)
         ds = _edge_deltas(e)
         odds = ds[0::2]
-        pat = seqpat.pattern_of(odds)
-        i = self._perm_index.get(pat)
-        case = f"permutation {i}" if i is not None and i <= self.p else "sentinel"
+        case, colour = self._dispatch(odds)
         return {
             "kind": self.kind,
             "edge": e,
             "deltas": ds,
             "odd_deltas": odds,
             "case": case,
-            "colour": colour_str(self._colour(e)),
+            "colour": colour_str(colour),
         }
 
 
@@ -639,7 +639,7 @@ def parse_tabulated(text: str, path=None) -> TabulatedColouring:
                 ) from None
             headerline = lineno
             continue
-        k = header[0]
+        k, n = header[0], header[1]
         if len(toks) != k + 1:
             raise FileFormatError(
                 f"expected {k} vertices and a colour", path=path, line=lineno
@@ -650,6 +650,10 @@ def parse_tabulated(text: str, path=None) -> TabulatedColouring:
             raise FileFormatError(
                 f"bad vertex in {line!r}", path=path, line=lineno
             ) from None
+        if len(set(e)) != k or any(v < 1 or v > n for v in e):
+            raise FileFormatError(
+                f"edge {e} is not a {k}-subset of 1..{n}", path=path, line=lineno
+            )
         col = parse_colour(toks[k])
         if e in table:
             raise FileFormatError(f"duplicate edge {e}", path=path, line=lineno)
@@ -735,11 +739,12 @@ def witness_p_colours(colouring: Colouring, vertices) -> WitnessReport:
             target=_witness_target(colouring),
             branch={"reason": "too-small", "size": len(vs)},
         )
-    host = tuple(((a - 1) ^ (b - 1)).bit_length() for a, b in zip(vs, vs[1:]))
-
+    ds = delta.delta_sequence_of_ints(
+        [v - 1 for v in vs], colouring.base.num_vertices
+    )
     if isinstance(colouring, SteppedPlusOne):
-        return _witness_plus_one(colouring, vs, host)
-    return _witness_double(colouring, vs, host)
+        return _witness_plus_one(colouring, ds)
+    return _witness_double(colouring, ds)
 
 
 def _witness_target(c):
@@ -748,19 +753,13 @@ def _witness_target(c):
     return c.p
 
 
-def _realize_vertices(vs, host, ix):
-    """Host vertices realizing a max-induced delta index set (canonical rule)."""
-    out = [vs[ix[0] - 1]]
-    for s in range(1, len(ix)):
-        if host[ix[s - 1] - 1] < host[ix[s] - 1]:
-            out.append(vs[ix[s - 1]])
-        else:
-            out.append(vs[ix[s] - 1])
-    out.append(vs[ix[-1]])
-    return tuple(out)
+def _edge_of(vertices) -> tuple[int, ...]:
+    """Vertex labels of realized host vertices (label = value + 1)."""
+    return tuple(w.value + 1 for w in vertices)
 
 
-def _witness_plus_one(c: SteppedPlusOne, vs, host):
+def _witness_plus_one(c: SteppedPlusOne, ds: delta.DeltaSeq):
+    host = ds.deltas
     part = c.partition
     k = part.k
     targets = []
@@ -794,7 +793,7 @@ def _witness_plus_one(c: SteppedPlusOne, vs, host):
                     "length": length,
                 },
             )
-        edge = _realize_vertices(vs, host, ix)
+        edge = _edge_of(delta.realize_max_induced(ds, ix))
         edges.append((edge, c.colour(edge)))
 
     colours = {col for _, col in edges}
@@ -803,7 +802,8 @@ def _witness_plus_one(c: SteppedPlusOne, vs, host):
     return WitnessReport(outcome="p-colours", target=len(edges), edges=tuple(edges))
 
 
-def _witness_double(c: SteppedDouble, vs, host):
+def _witness_double(c: SteppedDouble, ds: delta.DeltaSeq):
+    host = ds.deltas
     k = c.base.uniformity
     edges = []
     for i, perm in enumerate(itertools.permutations(range(1, k + 1)), start=1):
@@ -820,11 +820,8 @@ def _witness_double(c: SteppedDouble, vs, host):
                     "distinct_deltas": len(set(host)),
                 },
             )
-        edge = []
-        for pos in ix:
-            edge.append(vs[pos - 1])
-            edge.append(vs[pos])
-        edges.append((tuple(edge), c.colour(edge)))
+        edge = _edge_of(delta.realize_separated(ds, ix))
+        edges.append((edge, c.colour(edge)))
     colours = {col for _, col in edges}
     if len(colours) != len(edges):
         raise RuntimeError("realized edges failed to span distinct colours")

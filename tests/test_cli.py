@@ -47,6 +47,12 @@ def test_bad_parameters_exit_2(capsys):
         capsys, "verify", "--t", "3", "--p", "2"
     )  # no colouring source
     assert code == 2 and "error" in err
+    for workers in ("0", "-1"):
+        code, _, err = run(
+            capsys, "verify", "--random-base", "2", "5", "2", "1", "--t", "3",
+            "--p", "2", "--workers", workers,
+        )
+        assert code == 2 and "workers" in err
 
 
 def test_malformed_file_exit_2(tmp_path, capsys):
@@ -55,6 +61,12 @@ def test_malformed_file_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "pattern", "--seq-file", str(bad))
     assert code == 2
     assert "seq.txt" in err and "1" in err
+    # right edge count for K_4, but edge 3 9 leaves the universe
+    table = tmp_path / "c.txt"
+    table.write_text("2 4 1\n1 2 b1\n1 3 b1\n1 4 b1\n2 3 b1\n2 4 b1\n3 9 b1\n")
+    code, _, err = run(capsys, "verify", "--colouring", str(table), "--t", "3", "--p", "2")
+    assert code == 2
+    assert "c.txt:7:" in err
 
 
 def test_extract_witness_validates(tmp_path, capsys):
@@ -79,6 +91,23 @@ def test_tampered_witness_fails_validation(tmp_path, capsys):
     wit.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "validate", "--witness", str(wit))
     assert code == 1
+
+
+def test_malformed_witness_exit_2(tmp_path, capsys):
+    spec = {"type": "random", "k": "2", "n": "5", "q": "2", "seed": "1"}
+    docs = [
+        {"witness_kind": "rainbow-violation"},  # missing fields
+        {"witness_kind": "rainbow-violation", "colouring": spec,
+         "violating_set": 5, "p": "2"},  # ill-typed set
+        ["not", "an", "object"],
+    ]
+    for i, doc in enumerate(docs):
+        wit = tmp_path / f"w{i}.json"
+        wit.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "validate", "--witness", str(wit))
+        assert code == 2
+        assert f"w{i}.json" in err and "malformed witness" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_schedule_verify_and_witness_roundtrip(tmp_path, capsys):

@@ -63,6 +63,9 @@ def test_verify_guards():
         rb.verify_rainbow(pentagon(), 1, 2)
     with pytest.raises(BudgetExceededError):
         rb.verify_rainbow(mono(2, 30), 15, 2, budget=10)
+    for workers in (0, -1):
+        with pytest.raises(ParameterError, match="workers"):
+            rb.verify_rainbow(pentagon(), 3, 2, workers=workers)
 
 
 def test_sampled_mode_is_labelled_and_reproducible():
@@ -75,13 +78,13 @@ def test_sampled_mode_is_labelled_and_reproducible():
 def test_parallel_verify_matches_serial():
     c = su.random_colouring(3, 10, 3, seed=7)
     serial = rb.verify_rainbow(c, 6, 3)
-    parallel = rb.verify_rainbow(c, 6, 3, workers=2)
-    assert parallel.passed == serial.passed
-    assert parallel.histogram == serial.histogram
-    bad = mono(2, 6)
-    s = rb.verify_rainbow(bad, 3, 2)
-    p = rb.verify_rainbow(bad, 3, 2, workers=2)
-    assert not p.passed and p.violating_set == s.violating_set
+    assert serial.passed
+    assert rb.verify_rainbow(c, 6, 3, workers=2) == serial
+    # a failing run stops at the least violation: same histogram and count
+    bad = su.random_colouring(2, 9, 2, seed=3)
+    serial = rb.verify_rainbow(bad, 4, 2)
+    assert not serial.passed and serial.sets_checked < math.comb(9, 4)
+    assert rb.verify_rainbow(bad, 4, 2, workers=2) == serial
 
 
 def test_first_moment_params():

@@ -248,6 +248,11 @@ def test_tabulated_roundtrip(base36):
         su.parse_tabulated("2 4\n")
     with pytest.raises(FileFormatError):
         su.parse_tabulated("2 3 1\n1 2 b1\n1 3 b2\n2 3 b1\n")  # budget exceeded
+    # the edge count is right, but the last edge is not a 2-subset of 1..4
+    head = "2 4 1\n1 2 b1\n1 3 b1\n1 4 b1\n2 3 b1\n2 4 b1\n"
+    for bad in ("3 9", "0 3", "3 3"):
+        with pytest.raises(FileFormatError, match="c.txt:7:"):
+            su.parse_tabulated(head + bad + " b1\n", path="c.txt")
 
 
 # --- witness extraction ---------------------------------------------------------
