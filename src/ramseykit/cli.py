@@ -11,9 +11,7 @@ one line of whitespace-separated integers; vertex indices in reports are
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
-import math
 import os
 import random
 import sys
@@ -25,7 +23,6 @@ from .errors import (
     IncompleteSearchError,
     ParameterError,
     PreconditionError,
-    RamseyKitError,
 )
 from . import delta, hedgehog, rainbow, report, seqpat, stepup
 
@@ -40,45 +37,54 @@ def _read(path):
         raise FileFormatError(f"cannot read: {exc}", path=path) from None
 
 
-def _parse_sequence(text, path=None):
-    toks = text.split()
+def _write(path, text):
     try:
-        return tuple(int(t) for t in toks)
-    except ValueError:
-        bad = next(t for t in toks if not _is_int(t))
-        raise FileFormatError(f"bad integer {bad!r}", path=path, line=1) from None
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise FileFormatError(f"cannot write: {exc}", path=path) from None
 
 
-def _is_int(tok):
-    try:
-        int(tok)
-        return True
-    except ValueError:
-        return False
+def _int_list(text, flag, commas=True, path=None):
+    """Integers separated by whitespace and, when ``commas``, by commas.
+
+    A bad token raises ParameterError naming ``flag``, or FileFormatError
+    with path and line when ``text`` was read from the file ``path``.
+    """
+    if commas:
+        text = text.replace(",", " ")
+    out = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        for tok in line.split():
+            try:
+                out.append(int(tok))
+            except ValueError:
+                if path is not None:
+                    raise FileFormatError(
+                        f"bad integer {tok!r}", path=path, line=lineno
+                    ) from None
+                raise ParameterError(f"{flag}: bad integer {tok!r}") from None
+    return tuple(out)
 
 
 def _sequence_arg(args):
     if args.seq is not None:
-        return _parse_sequence(args.seq)
+        return _int_list(args.seq, "--seq", commas=False)
     if args.seq_file is not None:
-        return _parse_sequence(_read(args.seq_file), path=args.seq_file)
+        return _int_list(
+            _read(args.seq_file), "--seq-file", commas=False, path=args.seq_file
+        )
     raise ParameterError("provide --seq or --seq-file")
 
 
-def _perm_arg(text):
-    return tuple(int(t) for t in text.replace(",", " ").split())
-
-
-def _emit(args, doc, out=None):
+def _emit(args, doc):
     doc = {"schema": report.SCHEMA, **doc}
     if args.format == "json":
         payload = report.encode_report(doc)
     else:
         payload = report.render_text(doc)
-    target = out or getattr(args, "output", None)
-    if target:
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+    if getattr(args, "output", None):
+        _write(args.output, payload)
     else:
         sys.stdout.write(payload)
 
@@ -96,8 +102,7 @@ def _load_base(args):
     if getattr(args, "colouring", None):
         return stepup.parse_tabulated(_read(args.colouring), path=args.colouring)
     if getattr(args, "random_base", None):
-        k, n, q, seed = (int(x) for x in args.random_base)
-        return stepup.random_colouring(k, n, q, seed)
+        return stepup.random_colouring(*args.random_base)
     raise ParameterError("provide --colouring or --random-base k n q seed")
 
 
@@ -117,7 +122,7 @@ def _load_schedule_colouring(args):
         base = stepup.random_colouring(k, n, q, seed)
     else:
         base = stepup.parse_tabulated(_read(base_spec[1]), path=base_spec[1])
-    return stepup.tower_compose(base, stepup.build_steps(raw_steps))
+    return stepup.tower_compose(base, raw_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +157,8 @@ def cmd_gen_sk(args):
 
 def cmd_extract(args):
     s = _sequence_arg(args)
-    L = _perm_arg(args.left)
-    R = _perm_arg(args.right)
+    L = _int_list(args.left, "--left")
+    R = _int_list(args.right, "--right")
     w = seqpat.find_l_r_or_homogeneous(s, L, R)
     doc = {
         "command": "extract",
@@ -171,7 +176,7 @@ def cmd_extract(args):
 def cmd_separated(args):
     s = _sequence_arg(args)
     if args.perm:
-        sigma = _perm_arg(args.perm)
+        sigma = _int_list(args.perm, "--perm")
         ix = seqpat.contains_separated_permutation(s, sigma)
         doc = {
             "command": "separated",
@@ -225,7 +230,7 @@ def cmd_stepup(args):
         "colour_budget": c.budget,
     }
     if args.edge:
-        e = tuple(int(x) for x in args.edge.replace(",", " ").split())
+        e = _int_list(args.edge, "--edge")
         doc["edge"] = list(e)
         doc["colour"] = stepup.colour_str(c.colour(e))
         if args.explain:
@@ -239,13 +244,12 @@ def cmd_verify(args):
         c = _load_schedule_colouring(args)
     else:
         c = _load_base(args)
-    mode = "sampled" if args.sample else "exhaustive"
     rep = rainbow.verify_rainbow(
         c,
         args.t,
         args.p,
-        mode=mode,
-        trials=args.sample or 1000,
+        mode="exhaustive" if args.sample is None else "sampled",
+        trials=args.sample,
         seed=args.seed,
         budget=args.budget,
         workers=args.workers,
@@ -298,8 +302,7 @@ def cmd_search_random(args):
         "verified": rep.passed,
     }
     if args.export:
-        with open(args.export, "w", encoding="utf-8") as fh:
-            fh.write(stepup.format_tabulated(colouring))
+        _write(args.export, stepup.format_tabulated(colouring))
         doc["exported"] = args.export
     _emit(args, doc)
     return PASS
@@ -318,8 +321,7 @@ def cmd_exact_oracle(args):
         ),
     }
     if witness is not None and args.export:
-        with open(args.export, "w", encoding="utf-8") as fh:
-            fh.write(stepup.format_tabulated(witness))
+        _write(args.export, stepup.format_tabulated(witness))
         doc["exported"] = args.export
     _emit(args, doc)
     return PASS if exists else FAIL
@@ -338,8 +340,7 @@ def cmd_hedgehog(args):
             "body": list(h.body),
         }
         if args.export:
-            with open(args.export, "w", encoding="utf-8") as fh:
-                fh.write(hedgehog.format_hypergraph(hyp))
+            _write(args.export, hedgehog.format_hypergraph(hyp))
             doc["exported"] = args.export
         _emit(args, doc)
         return PASS
@@ -353,7 +354,7 @@ def cmd_hedgehog(args):
         return PASS
     if action == "piercing":
         h = hedgehog.parse_hypergraph(_read(args.hypergraph), path=args.hypergraph)
-        a = tuple(int(x) for x in args.subset.replace(",", " ").split())
+        a = _int_list(args.subset, "--subset")
         res = hedgehog.piercing_number(h, a, budget=args.budget)
         _emit(args, {
             "command": "hedgehog piercing",
@@ -376,19 +377,13 @@ def cmd_hedgehog(args):
             "colour_budget": lifted.budget,
         }
         if args.edge:
-            e = tuple(int(x) for x in args.edge.replace(",", " ").split())
+            e = _int_list(args.edge, "--edge")
             doc["edge"] = list(e)
             doc["colour"] = stepup.colour_str(lifted.colour(e))
         _emit(args, doc)
         return PASS
     if action == "find-mono":
-        if args.random_base:
-            k, n, q, seed = (int(x) for x in args.random_base)
-            if q != 2:
-                raise ParameterError("find-mono needs a 2-colouring")
-            c = stepup.random_colouring(k, n, q, seed)
-        else:
-            c = _load_base(args)
+        c = _load_base(args)
         emb = hedgehog.find_mono_hedgehog(c, args.t, budget=args.budget)
         doc = {
             "command": "hedgehog find-mono",
@@ -400,8 +395,6 @@ def cmd_hedgehog(args):
         }
         _emit(args, doc)
         return PASS
-    if action == "burr-erdos":
-        return cmd_burr_erdos(args)
     raise ParameterError(f"unknown hedgehog action {action!r}")
 
 
@@ -418,66 +411,15 @@ def cmd_burr_erdos(args):
         "colouring": report.colouring_spec(host),
     }
     if args.export:
-        with open(args.export, "w", encoding="utf-8") as fh:
-            fh.write(hedgehog.format_hypergraph(h))
+        _write(args.export, hedgehog.format_hypergraph(h))
         doc["exported"] = args.export
-    check = getattr(args, "check", None)
-    if check:
-        res = _scan_host_for_blue(host, mode=check, trials=args.sample, seed=args.seed)
+    code = PASS
+    if args.check:
+        res = host.scan_for_blue(mode=args.check, trials=args.sample, seed=args.seed)
         doc["host_check"] = res
-        if not res["passed"]:
-            _emit(args, doc)
-            return FAIL
+        code = PASS if res["passed"] else FAIL
     _emit(args, doc)
-    return PASS
-
-
-def _scan_host_for_blue(host, mode="exhaustive", trials=10**6, seed=0):
-    """Every 5-subset of the host must contain a blue triple."""
-    n = host.num_vertices
-    part = host.part_of
-    checked = 0
-    if mode == "exhaustive":
-        sets = itertools.combinations(range(1, n + 1), 5)
-    else:
-        rng = random.Random(seed)
-        population = range(1, n + 1)
-        sets = (tuple(sorted(rng.sample(population, 5))) for _ in range(trials))
-    for s5 in sets:
-        checked += 1
-        if _blue_triple_in(host, part, s5) is None:
-            return {
-                "passed": False,
-                "mode": mode,
-                "checked": checked,
-                "violating_set": list(s5),
-                "seed": seed if mode == "sampled" else None,
-            }
-    return {
-        "passed": True,
-        "mode": mode,
-        "checked": checked,
-        "seed": seed if mode == "sampled" else None,
-    }
-
-
-def _blue_triple_in(host, part, s5):
-    parts = {}
-    for v in s5:
-        parts.setdefault(part(v), []).append(v)
-    for p0, members in parts.items():
-        if len(members) >= 3:
-            tri = tuple(members[:3])
-            if host.colour(tri) == hedgehog.BLUE:
-                return tri
-    if len(parts) >= 3:
-        tri = tuple(sorted(members[0] for members in list(parts.values())[:3]))
-        if host.colour(tri) == hedgehog.BLUE:
-            return tri
-    for tri in itertools.combinations(s5, 3):
-        if host.colour(tri) == hedgehog.BLUE:
-            return tri
-    return None
+    return code
 
 
 def cmd_validate(args):
@@ -530,6 +472,16 @@ def cmd_preset(args):
     return code
 
 
+def _random_base(args, k, n, q, t, p):
+    """A (t;q,p)-rainbow random base of K_n^(k), or IncompleteSearchError."""
+    got = rainbow.search_random_rainbow(k, n, q, t, p, max_attempts=300,
+                                        seed=args.seed, budget=args.budget)
+    if got is None:
+        raise IncompleteSearchError("random base not found", stage="base")
+    base, _, attempts = got
+    return base, attempts
+
+
 def _witness_stage(c, sets, sizes, seed):
     """Sample vertex subsets and hunt forced-colour witnesses in each."""
     rng = random.Random(seed)
@@ -562,11 +514,7 @@ def _preset_five_colours(args):
         "description": f"search a ({t};{q},{q})-rainbow colouring of the "
         f"3-subsets of 1..{n0}",
     }]
-    got = rainbow.search_random_rainbow(3, n0, q, t, 5, max_attempts=300,
-                                        seed=args.seed, budget=args.budget)
-    if got is None:
-        raise IncompleteSearchError("random base not found", stage="base")
-    base, rep, attempts = got
+    base, attempts = _random_base(args, 3, n0, q, t, 5)
     stages[0]["attempts"] = attempts
     part = stepup.partition_patterns(3, 5)
     stepped = stepup.step_up_1(base, part)
@@ -590,11 +538,7 @@ def _preset_five_colours(args):
 def _preset_three_three(args):
     """Colour-preserving doubling keeps 3 colours while the uniformity grows."""
     q, t, n0 = 3, 6, 8
-    got = rainbow.search_random_rainbow(3, n0, q, t, 3, max_attempts=300,
-                                        seed=args.seed, budget=args.budget)
-    if got is None:
-        raise IncompleteSearchError("random base not found", stage="base")
-    base, rep, attempts = got
+    base, attempts = _random_base(args, 3, n0, q, t, 3)
     part = stepup.partition_patterns(3, 5)
     stepped = stepup.step_up_1b(base, part)
     outcomes, examples = _witness_stage(stepped, args.samples, 40, args.seed)
@@ -613,11 +557,7 @@ def _preset_three_three(args):
 def _preset_hedgehog_lower(args):
     """Degenerate doubling schedule: lifting a pair colouring to triples."""
     q, t, n = 16, 4, 10
-    got = rainbow.search_random_rainbow(2, n, q, t, 4, max_attempts=300,
-                                        seed=args.seed, budget=args.budget)
-    if got is None:
-        raise IncompleteSearchError("random base not found", stage="base")
-    base, rep, attempts = got
+    base, attempts = _random_base(args, 2, n, q, t, 4)
     lifted = hedgehog.lift_colouring(base, 3)
     spread = hedgehog.verify_hedgehog_spread(
         lifted, t, 1, embeddings=args.samples, seed=args.seed
@@ -643,11 +583,7 @@ def _preset_hedgehog_lower(args):
 def _preset_lemma_k5_13(args):
     """Zero plus-one steps from uniformity 4, then lifting to uniformity 5."""
     q, t, n = 14, 6, 8
-    got = rainbow.search_random_rainbow(4, n, q, t, 6, max_attempts=300,
-                                        seed=args.seed, budget=args.budget)
-    if got is None:
-        raise IncompleteSearchError("random base not found", stage="base")
-    base, rep, attempts = got
+    base, attempts = _random_base(args, 4, n, q, t, 6)
     lifted = hedgehog.lift_colouring(base, 5)
     spread = hedgehog.verify_hedgehog_spread(
         lifted, t, 1, embeddings=0, seed=args.seed
@@ -732,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stepup", help="build a scheduled colouring, evaluate edges")
     p.add_argument("--schedule", required=True)
     p.add_argument("--colouring", help="tabulated base colouring file")
-    p.add_argument("--random-base", nargs=4, metavar=("K", "N", "Q", "SEED"))
+    p.add_argument("--random-base", type=int, nargs=4, metavar=("K", "N", "Q", "SEED"))
     p.add_argument("--edge", help="evaluate one edge, e.g. '1 2 4 8'")
     p.add_argument("--explain", action="store_true")
     p.set_defaults(func=cmd_stepup)
@@ -740,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="rainbow verification")
     p.add_argument("--colouring")
     p.add_argument("--schedule")
-    p.add_argument("--random-base", nargs=4, metavar=("K", "N", "Q", "SEED"))
+    p.add_argument("--random-base", type=int, nargs=4, metavar=("K", "N", "Q", "SEED"))
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--sample", type=int, help="sampled mode with this many trials")
@@ -761,20 +697,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hedgehog", help="body-and-spine hypergraph operations")
     p.add_argument("action", choices=(
-        "build", "lift", "find-mono", "degeneracy", "piercing", "burr-erdos",
+        "build", "lift", "find-mono", "degeneracy", "piercing",
     ))
     p.add_argument("--t", type=int, default=3)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--s", type=int, default=2)
-    p.add_argument("--n", type=int, default=8)
     p.add_argument("--hypergraph")
     p.add_argument("--subset")
     p.add_argument("--colouring")
-    p.add_argument("--random-base", nargs=4, metavar=("K", "N", "Q", "SEED"))
+    p.add_argument("--random-base", type=int, nargs=4, metavar=("K", "N", "Q", "SEED"))
     p.add_argument("--edge")
     p.add_argument("--export")
-    p.add_argument("--check", choices=("exhaustive", "sampled"))
-    p.add_argument("--sample", type=int, default=10**6)
     p.set_defaults(func=cmd_hedgehog)
 
     p = sub.add_parser("burr-erdos", help="low-degeneracy hypergraph + host")

@@ -343,6 +343,7 @@ class LiftedColouring(Colouring):
         self.base = base
         self.p = p
         self.kind = "hedgehog-lifted"
+        self.step = ("lift", s, k)
 
     def _colour(self, e):
         got = {self.base.colour(f) for f in itertools.combinations(e, self.base.uniformity)}
@@ -800,6 +801,45 @@ class BurrErdosHost(Colouring):
 
     def _palette(self):
         return [RED, BLUE]
+
+    def scan_for_blue(self, mode="exhaustive", trials=10**6, seed=0) -> dict:
+        """Check that every 5-subset (or each of ``trials`` sampled ones)
+        contains a blue triple.
+
+        Five vertices either put three in one part or meet three parts,
+        so the part profile of each set names its candidate triples; each
+        one is re-coloured through :meth:`colour`, never assumed blue.
+        The report holds ``passed``, ``mode``, ``checked``, on failure the
+        ``violating_set``, and the ``seed`` of a sampled scan.
+        """
+        n = self.num_vertices
+        if mode == "exhaustive":
+            sets = itertools.combinations(range(1, n + 1), 5)
+        elif mode == "sampled":
+            if trials < 1:
+                raise ParameterError(f"trials = {trials}, must be at least 1")
+            rng = random.Random(seed)
+            population = range(1, n + 1)
+            sets = (tuple(sorted(rng.sample(population, 5))) for _ in range(trials))
+        else:
+            raise ParameterError(f"unknown mode {mode!r}")
+        seed = seed if mode == "sampled" else None
+        part_of, colour = self.part_of, self.colour
+        checked = 0
+        for s5 in sets:
+            checked += 1
+            parts = {}
+            for v in s5:
+                parts.setdefault(part_of(v), []).append(v)
+            for g in parts.values():
+                if len(g) >= 3 and colour(g[:3]) == BLUE:
+                    break
+            else:
+                groups = list(parts.values())
+                if len(groups) < 3 or colour([g[0] for g in groups[:3]]) != BLUE:
+                    return {"passed": False, "mode": mode, "checked": checked,
+                            "violating_set": list(s5), "seed": seed}
+        return {"passed": True, "mode": mode, "checked": checked, "seed": seed}
 
 
 def burr_erdos_pair(n: int) -> tuple[Hypergraph, BurrErdosHost]:

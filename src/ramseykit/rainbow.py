@@ -102,6 +102,8 @@ def verify_rainbow(
             parts = _scan_firsts((colouring, t, p, firsts))
         violation, hist, checked = _replay(parts)
     elif mode == "sampled":
+        if trials < 1:
+            raise ParameterError(f"trials = {trials}, must be at least 1")
         rng = random.Random(seed)
         sets = (_sample_set(rng, n, t) for _ in range(trials))
         violation, hist, checked = _scan(colouring, sets, p, {})
@@ -280,7 +282,6 @@ def exact_rainbow_exists(
     t: int,
     p: int,
     budget: int = DEFAULT_BUDGET,
-    shallow_depth: int | None = None,
 ):
     """Complete search: does any (t, p)-rainbow q-colouring of K_n^(k) exist?
 
@@ -309,10 +310,10 @@ def exact_rainbow_exists(
         idxs = [edge_index[e] for e in itertools.combinations(ts, k)]
         finish_at[max(idxs)].append(idxs)
 
-    if shallow_depth is None:
-        shallow_depth = min(m, k + 2)
+    # symmetry pruning compares prefixes of the first k + 2 edges
+    shallow_depth = min(m, k + 2)
     perms = []
-    if shallow_depth > 0 and n <= 8:
+    if n <= 8:
         for sigma in itertools.permutations(range(1, n + 1)):
             mapped = [
                 edge_index[tuple(sorted(sigma[v - 1] for v in e))] for e in edges

@@ -107,17 +107,11 @@ def colouring_spec(c) -> dict:
                 "seed": c.seed,
             }
         return {"type": "tabulated", "data": stepup.format_tabulated(c)}
-    if isinstance(c, stepup.SteppedPlusOne):
-        step = ["up1b" if c.aliased else "up1", c.partition.k, c.partition.p]
-    elif isinstance(c, stepup.SteppedDouble):
-        step = ["up2", c.base.uniformity, c.p]
-    elif isinstance(c, hedgehog.LiftedColouring):
-        step = ["lift", c.base.uniformity, c.uniformity]
-    else:
+    if c.step is None:
         raise ParameterError(f"cannot describe colouring kind {c.kind!r}")
     spec = colouring_spec(c.base)
     steps = spec.pop("steps", [])
-    steps.append(step)
+    steps.append(list(c.step))
     base = spec if spec.get("type") != "schedule" else spec["base"]
     return {"type": "schedule", "base": base, "steps": steps}
 
@@ -134,18 +128,15 @@ def build_colouring(spec: dict):
         return hedgehog.BurrErdosHost(int(spec["n"]))
     if t == "schedule":
         c = build_colouring(spec["base"])
+        doubling = []
         for step in spec["steps"]:
             name, k, p = step[0], int(step[1]), int(step[2])
-            if name in ("up1", "up1b"):
-                part = stepup.partition_patterns(k, p)
-                c = (stepup.step_up_1 if name == "up1" else stepup.step_up_1b)(c, part)
-            elif name == "up2":
-                c = stepup.step_up_2(c, p)
-            elif name == "lift":
-                c = hedgehog.lift_colouring(c, p)
+            if name == "lift":
+                c = hedgehog.lift_colouring(stepup.tower_compose(c, doubling), p)
+                doubling = []
             else:
-                raise ParameterError(f"unknown schedule step {name!r}")
-        return c
+                doubling.append((name, k, p))
+        return stepup.tower_compose(c, doubling)
     raise ParameterError(f"unknown colouring spec type {t!r}")
 
 

@@ -149,6 +149,8 @@ class Colouring:
     """Total deterministic map from k-subsets of 1..n to colour ids."""
 
     kind = "abstract"
+    # the ``(name, k, p)`` schedule step that derived this colouring
+    step = None
 
     def __init__(self, uniformity: int, num_vertices: int):
         if uniformity < 1:
@@ -373,8 +375,9 @@ class SteppedPlusOne(Colouring):
         self.partition = partition
         self.aliased = aliased
         self.kind = "stepped-up-1b" if aliased else "stepped-up-1"
-        # provenance only: the construction forces its colour count on
-        # vertex sets of size t**(16**k + 1); never used at desk scale
+        self.step = ("up1b" if aliased else "up1", partition.k, partition.p)
+        # the construction forces its colour count on vertex sets of size
+        # t**(16**k + 1); witness reports name the count as their target
         self.guarantee = {
             "forced_colours": partition.p - 2 if aliased else partition.p,
             "set_size_exponent": 16**partition.k + 1,
@@ -451,7 +454,8 @@ class SteppedDouble(Colouring):
         self.base = base
         self.p = p
         self.kind = "stepped-up-2"
-        # provenance only: forced on vertex sets of size t**(k + 2)
+        self.step = ("up2", k, p)
+        # forced on vertex sets of size t**(k + 2)
         self.guarantee = {"forced_colours": p, "set_size_exponent": k + 2}
         self._perm_index = {
             perm: i
@@ -520,20 +524,25 @@ def step_up_2(base: Colouring, p: int) -> SteppedDouble:
 def tower_compose(base: Colouring, steps) -> Colouring:
     """Fold a schedule of doubling steps over a ground colouring.
 
-    ``steps`` holds ``("up1", partition)``, ``("up1b", partition)`` or
-    ``("up2", p)`` entries; uniformities and budgets are validated per
-    step and an infeasible schedule reports the failing step.
+    ``steps`` holds the ``(name, k, p)`` triples of :func:`parse_schedule`
+    with name ``up1``, ``up1b`` or ``up2``; each step's ``k`` must be the
+    uniformity it steps up from, uniformities and budgets are validated
+    per step, and an infeasible schedule reports the failing step.
     """
     cur = base
-    for pos, step in enumerate(steps, start=1):
-        name = step[0]
+    for pos, (name, k, p) in enumerate(steps, start=1):
         try:
+            if k != cur.uniformity:
+                raise ParameterError(
+                    f"k = {k}, but the colouring it steps up is "
+                    f"{cur.uniformity}-uniform"
+                )
             if name == "up1":
-                cur = step_up_1(cur, step[1])
+                cur = step_up_1(cur, partition_patterns(k, p))
             elif name == "up1b":
-                cur = step_up_1b(cur, step[1])
+                cur = step_up_1b(cur, partition_patterns(k, p))
             elif name == "up2":
-                cur = step_up_2(cur, step[1])
+                cur = step_up_2(cur, p)
             else:
                 raise ParameterError(f"unknown step {name!r}")
         except ParameterError as exc:
@@ -582,17 +591,6 @@ def parse_schedule(text: str, path=None):
             ) from None
         steps.append((toks[0], k, p))
     return base_spec, steps
-
-
-def build_steps(raw_steps):
-    """Turn raw ``(name, k, p)`` schedule entries into composable steps."""
-    out = []
-    for name, k, p in raw_steps:
-        if name in ("up1", "up1b"):
-            out.append((name, partition_patterns(k, p)))
-        else:
-            out.append((name, p))
-    return out
 
 
 def format_schedule(base_spec, raw_steps) -> str:
@@ -654,7 +652,10 @@ def parse_tabulated(text: str, path=None) -> TabulatedColouring:
             raise FileFormatError(
                 f"edge {e} is not a {k}-subset of 1..{n}", path=path, line=lineno
             )
-        col = parse_colour(toks[k])
+        try:
+            col = parse_colour(toks[k])
+        except FileFormatError as exc:
+            raise FileFormatError(str(exc), path=path, line=lineno) from None
         if e in table:
             raise FileFormatError(f"duplicate edge {e}", path=path, line=lineno)
         table[e] = col
@@ -736,7 +737,7 @@ def witness_p_colours(colouring: Colouring, vertices) -> WitnessReport:
     if len(vs) <= colouring.uniformity:
         return WitnessReport(
             outcome="branch",
-            target=_witness_target(colouring),
+            target=colouring.guarantee["forced_colours"],
             branch={"reason": "too-small", "size": len(vs)},
         )
     ds = delta.delta_sequence_of_ints(
@@ -745,12 +746,6 @@ def witness_p_colours(colouring: Colouring, vertices) -> WitnessReport:
     if isinstance(colouring, SteppedPlusOne):
         return _witness_plus_one(colouring, ds)
     return _witness_double(colouring, ds)
-
-
-def _witness_target(c):
-    if isinstance(c, SteppedPlusOne):
-        return c.partition.p - 2 if c.aliased else c.partition.p
-    return c.p
 
 
 def _edge_of(vertices) -> tuple[int, ...]:
@@ -783,7 +778,7 @@ def _witness_plus_one(c: SteppedPlusOne, ds: delta.DeltaSeq):
             length, wit = seqpat.longest_homogeneous_max_induced(host)
             return WitnessReport(
                 outcome="branch",
-                target=_witness_target(c),
+                target=c.guarantee["forced_colours"],
                 branch={
                     "reason": "homogeneous",
                     "missing": label,

@@ -18,7 +18,6 @@ from ramseykit import hedgehog as hh
 from ramseykit import rainbow as rb
 from ramseykit import seqpat as sp
 from ramseykit import stepup as su
-from ramseykit.cli import _scan_host_for_blue
 
 
 def _pass(name, detail=""):
@@ -363,7 +362,7 @@ def test_12_burr_erdos_construction():
     assert host.num_vertices == 64
 
     # every 5-subset of the host contains a blue triple (exhaustive)
-    res = _scan_host_for_blue(host, mode="exhaustive")
+    res = host.scan_for_blue(mode="exhaustive")
     assert res["passed"] and res["checked"] == math.comb(64, 5)
 
     # no blue triple has exactly two vertices in one part (exhaustive)
@@ -374,7 +373,7 @@ def test_12_burr_erdos_construction():
     # n = 12: sampled with a logged seed
     h12, host12 = hh.burr_erdos_pair(12)
     assert hh.degeneracy(h12) <= 8
-    res12 = _scan_host_for_blue(host12, mode="sampled", trials=10**7, seed=2718)
+    res12 = host12.scan_for_blue(mode="sampled", trials=10**7, seed=2718)
     assert res12["passed"] and res12["checked"] == 10**7
     rng = random.Random(3141)
     for _ in range(10**5):

@@ -42,7 +42,7 @@ def test_exact_oracle_exit_codes(capsys):
     assert code == 0
 
 
-def test_bad_parameters_exit_2(capsys):
+def test_bad_parameters_exit_2(tmp_path, capsys):
     code, _, err = run(
         capsys, "verify", "--t", "3", "--p", "2"
     )  # no colouring source
@@ -53,6 +53,49 @@ def test_bad_parameters_exit_2(capsys):
             "--p", "2", "--workers", workers,
         )
         assert code == 2 and "workers" in err
+    sched = tmp_path / "tower.txt"
+    sched.write_text("base random 3 6 3 42\nup1 3 5\n")
+    wrong_k = tmp_path / "wrong-k.txt"
+    wrong_k.write_text("base random 3 6 3 42\nup2 5 2\n")
+    hyp = tmp_path / "h.txt"
+    run(capsys, "hedgehog", "build", "--export", str(hyp))
+    missing = str(tmp_path / "no-such-dir" / "out.txt")
+    verify = ["verify", "--random-base", "2", "6", "2", "1", "--t", "3", "--p", "2"]
+    cases = [
+        # one bad token in each integer-list flag
+        (["stepup", "--schedule", str(sched), "--edge", "1,2,x,8"], "--edge"),
+        (["extract", "--seq", "3 1 2", "--left", "2 x", "--right", "1 2"], "--left"),
+        (["extract", "--seq", "3 1 2", "--left", "2 1", "--right", "1,y"], "--right"),
+        (["separated", "--seq", "3 1 2", "--perm", "2 z"], "--perm"),
+        (["hedgehog", "piercing", "--hypergraph", str(hyp), "--subset", "1 q"],
+         "--subset"),
+        (["pattern", "--seq", "1,2"], "--seq"),
+        # a schedule step whose k is not the current uniformity
+        (["stepup", "--schedule", str(wrong_k)], "step 1 (up2)"),
+        # sample counts below 1
+        (verify + ["--sample", "0"], "trials"),
+        (verify + ["--sample", "-5"], "trials"),
+        (["burr-erdos", "--n", "4", "--check", "sampled", "--sample", "-3"], "trials"),
+        (["burr-erdos", "--n", "4", "--check", "sampled", "--sample", "0"], "trials"),
+        # reports and exports into a missing directory
+        (["pattern", "--seq", "1 2", "--output", missing], "no-such-dir"),
+        (["burr-erdos", "--n", "4", "--export", missing], "no-such-dir"),
+        (["hedgehog", "build", "--export", missing], "no-such-dir"),
+        (["search-random", "--k", "2", "--n", "6", "--q", "3", "--t", "4",
+          "--p", "3", "--seed", "5", "--export", missing], "no-such-dir"),
+        (["exact-oracle", "--k", "2", "--n", "5", "--q", "2", "--t", "3",
+          "--p", "2", "--export", missing], "no-such-dir"),
+    ]
+    for argv, needle in cases:
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert needle in err and len(err.strip().splitlines()) == 1, (argv, err)
+    # argparse rejects a non-integer --random-base before any handler runs
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--random-base", "2", "6", "2", "x", "--t", "3", "--p", "2"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "invalid int value: 'x'" in err and "Traceback" not in err
 
 
 def test_malformed_file_exit_2(tmp_path, capsys):
@@ -67,6 +110,11 @@ def test_malformed_file_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--colouring", str(table), "--t", "3", "--p", "2")
     assert code == 2
     assert "c.txt:7:" in err
+    # a malformed colour token is located too
+    table.write_text("2 4 1\n1 2 b1\n1 3 q7\n1 4 b1\n2 3 b1\n2 4 b1\n3 4 b1\n")
+    code, _, err = run(capsys, "verify", "--colouring", str(table), "--t", "3", "--p", "2")
+    assert code == 2
+    assert "c.txt:3:" in err and "q7" in err
 
 
 def test_extract_witness_validates(tmp_path, capsys):
@@ -241,11 +289,6 @@ def test_hedgehog_lift_and_piercing(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["set_size"] == "3"
     assert doc["colour"].startswith("{")
-
-
-def test_hedgehog_burr_erdos_alias(capsys):
-    code, out, _ = run(capsys, "hedgehog", "burr-erdos", "--n", "4")
-    assert code == 0 and "host_parts: 1" in out
 
 
 def test_exported_colouring_reverifies(tmp_path, capsys):

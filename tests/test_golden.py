@@ -1,8 +1,10 @@
-"""Golden CLI reports: fixed-seed invocations whose JSON output must stay
-byte-identical across refactors.  Each digest is the sha256 of the report
-that ``main`` writes to stdout with ``--format json``, run in a directory
-holding the three schedule files below (relative paths keep the embedded
-config stable)."""
+"""Golden CLI reports: fixed-seed invocations whose output must stay
+byte-identical across refactors.  Each entry holds the sha256 of the report
+that ``main`` writes to stdout with ``--format json`` and with
+``--format text``; the JSON encoder sorts keys, so only the text digest
+sees the order of a report's fields.  Every run happens in a directory
+holding the three schedule files below and the hypergraph exported by
+``burr-erdos --n 12`` (relative paths keep the embedded config stable)."""
 
 import hashlib
 
@@ -16,42 +18,87 @@ SCHEDULES = {
     "up2.txt": "base random 2 6 3 42\nup2 2 2\n",
 }
 
+# (argv, exit code, sha256 of the JSON report, sha256 of the text report)
 GOLDEN = [
     # failing serial verify: histogram and count up to the least violation
     ("verify --random-base 2 9 2 3 --t 4 --p 2", 1,
-     "16440f3f0edd40266faf7eafdd6a970b2ae4aeab74850bcaa6dfa4c58bdc0bb3"),
+     "16440f3f0edd40266faf7eafdd6a970b2ae4aeab74850bcaa6dfa4c58bdc0bb3",
+     "e8c1ced1f38daa9ab7c3688fe5f5ee436f3d17e2f30ce335748c67496ae3dc6f"),
     ("verify --random-base 3 10 3 7 --t 6 --p 3 --workers 2", 0,
-     "10043836664f391be1e61c21df98e96026988e01103a7ff5befd8e7ec8cea4c7"),
+     "10043836664f391be1e61c21df98e96026988e01103a7ff5befd8e7ec8cea4c7",
+     "a5ba64ec8057625cb0f769d081a7ef49aa1233612bf7cff377554cd15f8b64db"),
     ("verify --schedule up1.txt --t 8 --p 3 --sample 200 --seed 7", 0,
-     "2174fdc517352822d7890bc9f180cc6fe22aea797cd96501934a40d5a01effe9"),
+     "2174fdc517352822d7890bc9f180cc6fe22aea797cd96501934a40d5a01effe9",
+     "3f26a2fb68b6146baad18bcfe23e00b54a357ff1e29b7fffe1b4f65215b71812"),
     # explain cases: increasing, decreasing, class, permutation tag, sentinel
     ("stepup --schedule up1.txt --edge 1,2,4,8 --explain", 0,
-     "34d97b1d82ec254347f6b08d351d54fed078561b1f3f89b04763547e30e0b785"),
+     "34d97b1d82ec254347f6b08d351d54fed078561b1f3f89b04763547e30e0b785",
+     "ae57bfc8371f127618ba48e0a280d300b7ed77edc51597bca2b7184914376b6f"),
     ("stepup --schedule up1.txt --edge 1,5,7,8 --explain", 0,
-     "f5ed0889ee0761451a8c69eb938b772d98b010c3431b1c907f8814829849c599"),
+     "f5ed0889ee0761451a8c69eb938b772d98b010c3431b1c907f8814829849c599",
+     "838a4e0ee95c62c5438225f078da6209f81faf17246deff54c6baab4e406d5fb"),
     ("stepup --schedule up1b.txt --edge 1,5,6,8 --explain", 0,
-     "ff88052440261a32d2b7d4d755daad88355c07e874bec36aef386703cf4a8d04"),
+     "ff88052440261a32d2b7d4d755daad88355c07e874bec36aef386703cf4a8d04",
+     "ea1293c25f354ec7560621b8505dc6f94fffe260045c3bd58a07f71ce3379bdf"),
     ("stepup --schedule up2.txt --edge 1,5,6,7 --explain", 0,
-     "b466eb11102d66af7eb7052eed27803dedadc7b9c1091e174cc75077261811ca"),
+     "b466eb11102d66af7eb7052eed27803dedadc7b9c1091e174cc75077261811ca",
+     "9413b1f77e98c386a23b26eea312c8fc9ce17e350bad042cc2a9e16020d11c94"),
     ("stepup --schedule up2.txt --edge 1,2,3,4 --explain", 0,
-     "fd99d96bbbf03a51afb4058c8e1d4878b5c20abd9788379ea38b5d60a1604e91"),
+     "fd99d96bbbf03a51afb4058c8e1d4878b5c20abd9788379ea38b5d60a1604e91",
+     "45a4631a15ab99642d5c2048f02dbbe6dc9f16461229f4381e99017b80409ed5"),
     ("preset --name cor-five-colours --seed 3 --samples 20", 0,
-     "9211896a254a054b274275da0552d0f3bfff9c388ca9e4783d47c3f79c6ff9dd"),
+     "9211896a254a054b274275da0552d0f3bfff9c388ca9e4783d47c3f79c6ff9dd",
+     "45a25aadd3664faccbd4eebc5853d2716257bba14df8ebdabd08241691ba1a61"),
     ("preset --name cor-three-three --seed 3 --samples 20", 0,
-     "538968e6f200a9ac18dd8095800eef1c50cacd2ba7778e29c8075f29e67b2717"),
+     "538968e6f200a9ac18dd8095800eef1c50cacd2ba7778e29c8075f29e67b2717",
+     "2e5da1148dfe3d662201bce845699e4afea6eae82803162ce10d88789fd351c9"),
     ("hedgehog lift --random-base 2 8 6 1 --k 3 --edge 1,2,3", 0,
-     "b139d1bedad20cc86ce082e8c2c966231913bd78786c11f933999e7aff27660a"),
+     "b139d1bedad20cc86ce082e8c2c966231913bd78786c11f933999e7aff27660a",
+     "6da5ef111f19cb18e8a2d6539f65249b37ae128f524009f1da796124d1d23492"),
     ("burr-erdos --n 4 --check exhaustive", 0,
-     "88bdde5ae0912c57a456ccace4263f5799d20fa3bd01aebfe3a6523909dac388"),
+     "88bdde5ae0912c57a456ccace4263f5799d20fa3bd01aebfe3a6523909dac388",
+     "d7afdd750533c85f849de5be81822ee6087e40adbf5d1e78d41527dc7206b37a"),
+    ("hedgehog find-mono --random-base 3 81 2 5 --t 3", 0,
+     "e7b753938d81505ea36f471a0321c7604760bb64ddd5b9460d4c12a7d4701399",
+     "a2005b0b35a2071bac54cb1e01d40fad570aec7b3d5ada658b1474d5f0a22219"),
+    ("hedgehog piercing --hypergraph h12.txt --subset 1,13", 0,
+     "aa1c46ab3d71539393d3333aebc90eb25c04a24ee1ba9eddb5766f1089f1b40f",
+     "d95e3a9693d0d0e4903448d3e81e8b355ed56b46df795bad644a3d699cf10146"),
+    ("burr-erdos --n 8 --check sampled --sample 3000 --seed 5", 0,
+     "d08cdaa6774078655b1e41e399eb1afe3e42bf8f4e4b325346bd4176584e0754",
+     "50712a273759642cd1242a602dd9fe0203ad53fc157a7d513959880daa991f94"),
+    ("preset --name hedgehog-lower", 0,
+     "728cf214702317be41ba7e26951ca15874cb5b5d081859d7c14c155a08ea9801",
+     "1001538e2d06e49fea0ad5d4b2dffe12e628c7ed960d8d182c7a468ced5342de"),
+    ("preset --name lemma-k5-13", 0,
+     "7f3a0b4386ce207d2798ec582a15ebc08e4fa9b8233b5223caeb37d5235b9649",
+     "0555fc5fc199929f7c7d2db3c9e5b853a08f7ac38080899a09707bbe0404c5a8"),
 ]
 
+IDS = [g[0] for g in GOLDEN]
 
-@pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=[g[0] for g in GOLDEN])
-def test_golden_report(argv, code, digest, tmp_path, monkeypatch, capsys):
+
+@pytest.fixture
+def workdir(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, text in SCHEDULES.items():
         (tmp_path / name).write_text(text)
-    got = main(argv.split() + ["--format", "json"])
+    assert main(["burr-erdos", "--n", "12", "--export", "h12.txt"]) == 0
+    capsys.readouterr()
+    return tmp_path
+
+
+def _digest(argv, fmt, capsys):
+    got = main(argv.split() + ["--format", fmt])
     out = capsys.readouterr().out
-    assert got == code
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    return got, hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv, code, digest, _text", GOLDEN, ids=IDS)
+def test_golden_report(argv, code, digest, _text, workdir, capsys):
+    assert _digest(argv, "json", capsys) == (code, digest)
+
+
+@pytest.mark.parametrize("argv, code, _json, digest", GOLDEN, ids=IDS)
+def test_golden_text_report(argv, code, _json, digest, workdir, capsys):
+    assert _digest(argv, "text", capsys) == (code, digest)

@@ -201,13 +201,12 @@ def test_sweep_matches_direct_evaluation_on_sample(base36, part35):
 
 def test_tower_compose(base36, part35):
     assert su.tower_compose(base36, []) is base36
-    t1 = su.tower_compose(base36, [("up1", part35)])
+    t1 = su.tower_compose(base36, [("up1", 3, 5)])
     assert (t1.uniformity, t1.num_vertices) == (4, 64)
-    t2 = su.tower_compose(base36, [("up2", 3)])
+    t2 = su.tower_compose(base36, [("up2", 3, 3)])
     assert (t2.uniformity, t2.num_vertices) == (6, 64)
     # chained: 4-uniform on 64 vertices -> 8-uniform on 2^64
-    part45 = su.partition_patterns(4, 5)
-    t3 = su.tower_compose(base36, [("up1", part35), ("up1", part45)])
+    t3 = su.tower_compose(base36, [("up1", 3, 5), ("up1", 4, 5)])
     assert (t3.uniformity, t3.num_vertices) == (5, 2**64)
     assert t3.budget == 2 * 9 + 5 - 2
     rng = random.Random(0)
@@ -222,9 +221,13 @@ def test_tower_compose(base36, part35):
 
 
 def test_tower_infeasible_schedule_reports_step(base36, part35):
-    part45 = su.partition_patterns(4, 5)
     with pytest.raises(ParameterError, match="step 1"):
-        su.tower_compose(base36, [("up1", part45)])
+        su.tower_compose(base36, [("up1", 4, 5)])
+    # up2 checks its k too: 5 is not the uniformity it steps up from
+    with pytest.raises(ParameterError, match="step 1 \\(up2\\)"):
+        su.tower_compose(base36, [("up2", 5, 2)])
+    with pytest.raises(ParameterError, match="step 2 \\(up2\\)"):
+        su.tower_compose(base36, [("up1", 3, 5), ("up2", 5, 2)])
 
 
 def test_schedule_parsing_roundtrip():
