@@ -327,6 +327,12 @@ def cmd_exact_oracle(args):
     return PASS if exists else FAIL
 
 
+def _hypergraph_arg(args):
+    if args.hypergraph is None:
+        raise ParameterError(f"hedgehog {args.action}: provide --hypergraph")
+    return hedgehog.parse_hypergraph(_read(args.hypergraph), path=args.hypergraph)
+
+
 def cmd_hedgehog(args):
     action = args.action
     if action == "build":
@@ -345,7 +351,7 @@ def cmd_hedgehog(args):
         _emit(args, doc)
         return PASS
     if action == "degeneracy":
-        h = hedgehog.parse_hypergraph(_read(args.hypergraph), path=args.hypergraph)
+        h = _hypergraph_arg(args)
         _emit(args, {
             "command": "hedgehog degeneracy",
             "config": _config_of(args, ["hypergraph"]),
@@ -353,7 +359,9 @@ def cmd_hedgehog(args):
         })
         return PASS
     if action == "piercing":
-        h = hedgehog.parse_hypergraph(_read(args.hypergraph), path=args.hypergraph)
+        h = _hypergraph_arg(args)
+        if args.subset is None:
+            raise ParameterError("hedgehog piercing: provide --subset")
         a = _int_list(args.subset, "--subset")
         res = hedgehog.piercing_number(h, a, budget=args.budget)
         _emit(args, {

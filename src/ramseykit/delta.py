@@ -30,6 +30,7 @@ __all__ = [
     "delta_sequence",
     "delta_sequence_of_ints",
     "check_unique_and_max",
+    "delta_classes",
     "realize_max_induced",
     "realize_separated",
     "parse_vertex_file",
@@ -146,6 +147,37 @@ def check_unique_and_max(ds) -> bool:
                     return False
         return True
     return seqpat.unique_maximum_property(tuple(ds))
+
+
+def delta_classes(length: int, m: int):
+    """Every achievable delta sequence of ``length`` consecutive deltas of a
+    ``(length + 1)``-subset of ``[0, 2^m)``, with the number of subsets
+    that realize it.
+
+    Yields ``(deltas, count)`` pairs; the counts sum to
+    ``C(2^m, length + 1)``.  By the two delta facts a sequence has a unique
+    maximum ``D``, at some position ``j``, and the subsets realizing it
+    agree above coordinate ``D`` (``2^(m-D)`` choices), have coordinate
+    ``D`` equal to 0 left of the gap and 1 right of it, and below ``D``
+    realize the left and right parts independently in ``[0, 2^(D-1))``:
+    ``count = 2^(m-D) * count(left, D-1) * count(right, D-1)``, and the
+    empty sequence (a single vertex) counts ``2^m``.
+    """
+    if length < 0 or m < 0:
+        raise ParameterError("length and width must be non-negative")
+    return _delta_classes(length, m)
+
+
+def _delta_classes(length, m):
+    if length == 0:
+        yield (), 1 << m
+        return
+    for top in range(1, m + 1):
+        scale = 1 << (m - top)
+        for j in range(length):
+            for left, n_left in _delta_classes(j, top - 1):
+                for right, n_right in _delta_classes(length - 1 - j, top - 1):
+                    yield left + (top,) + right, scale * n_left * n_right
 
 
 def realize_max_induced(ds: DeltaSeq, ix) -> tuple[BinVertex, ...]:

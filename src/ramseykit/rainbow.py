@@ -214,7 +214,11 @@ def first_moment_params(k: int, q: int, t: int, cap: int = DESK_UNIVERSE_CAP) ->
     eps = Fraction(1, q * math.factorial(k))
     t0 = math.ceil(math.e * q)
     exponent = eps * t ** (k - 1)
-    if exponent.denominator == 1:
+    if exponent >= cap.bit_length():
+        # 2^exponent > cap without computing it: 2 ** float(exponent)
+        # overflows once the exponent passes about 1024
+        n = cap + 1
+    elif exponent.denominator == 1:
         n = 1 << exponent.numerator
     else:
         n = math.ceil(2 ** float(exponent))

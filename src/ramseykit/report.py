@@ -193,8 +193,12 @@ def _validate_sequence_witness(doc):
 
 def _validate_separated(doc):
     s = _ints(doc["sequence"])
+    if not doc["witnesses"]:
+        return False, "no separated realizations to check"
     for key, ix in doc["witnesses"].items():
         sigma = _ints(key.split())
+        if sorted(sigma) != list(range(1, len(sigma) + 1)):
+            return False, f"key {key!r} is not a permutation"
         ix = _ints(ix)
         if any(b <= a + 1 for a, b in zip(ix, ix[1:])):
             return False, f"{sigma}: indices not separated"

@@ -465,6 +465,9 @@ class SteppedDouble(Colouring):
         }
         self._memo: dict = {}
 
+    def colour_of_deltas(self, ds: tuple[int, ...]):
+        return self.colour_of_odd_deltas(ds[0::2])
+
     def colour_of_odd_deltas(self, odds: tuple[int, ...]):
         got = self._memo.get(odds)
         if got is None:
@@ -482,7 +485,7 @@ class SteppedDouble(Colouring):
         )
 
     def _colour(self, e):
-        return self.colour_of_odd_deltas(_edge_deltas(e)[0::2])
+        return self.colour_of_deltas(_edge_deltas(e))
 
     def _palette(self):
         return [
@@ -828,52 +831,22 @@ def _witness_double(c: SteppedDouble, ds: delta.DeltaSeq):
 # ---------------------------------------------------------------------------
 
 def sweep_reachable_colours(c: Colouring, counts: bool = False):
-    """Evaluate every edge of the universe and collect the colours seen.
+    """Collect the colours of every edge of the universe.
 
     Returns ``(colours, histogram)`` where ``histogram`` maps colour ->
-    edge count when ``counts`` is requested (else ``None``).  The stepped
-    constructions factor their dispatch through the same memo tables the
-    ordinary evaluator uses, which keeps the full sweep of a 2^n-vertex
-    universe affordable.
+    edge count when ``counts`` is requested (else ``None``).  A stepped
+    colouring's edge colour is a function of the edge's delta sequence, so
+    its sweep is an exact sum over the delta classes of
+    :func:`delta.delta_classes`, one colour evaluation per class; any
+    other colouring is evaluated edge by edge.
     """
-    n = c.num_vertices
-    k = c.uniformity
-    hist: dict | None = {} if counts else None
-
-    if isinstance(c, SteppedPlusOne):
-        dispatch = c.colour_of_deltas
-
-        def key_of(e, dt):
-            return tuple(dt[a][b] for a, b in zip(e, e[1:]))
-
-    elif isinstance(c, SteppedDouble):
-        dispatch = c.colour_of_odd_deltas
-
-        def key_of(e, dt):
-            return tuple(dt[e[i]][e[i + 1]] for i in range(0, k - 1, 2))
-
+    hist: dict = {}
+    if isinstance(c, (SteppedPlusOne, SteppedDouble)):
+        for ds, n in delta.delta_classes(c.uniformity - 1, c.base.num_vertices):
+            col = c.colour_of_deltas(ds)
+            hist[col] = hist.get(col, 0) + n
     else:
-        seen = set()
-        for e in itertools.combinations(range(1, n + 1), k):
+        for e in itertools.combinations(range(1, c.num_vertices + 1), c.uniformity):
             col = c._colour(e)
-            seen.add(col)
-            if hist is not None:
-                hist[col] = hist.get(col, 0) + 1
-        return seen, hist
-
-    # delta table over 0-based vertex values
-    dt = [[(a ^ b).bit_length() for b in range(n)] for a in range(n)]
-    seen = set()
-    memo_get = {}
-    for e in itertools.combinations(range(n), k):
-        key = key_of(e, dt)
-        col = memo_get.get(key)
-        if col is None:
-            col = memo_get[key] = dispatch(key)
-        if hist is not None:
             hist[col] = hist.get(col, 0) + 1
-        else:
-            seen.add(col)
-    if hist is not None:
-        seen = set(hist)
-    return seen, hist
+    return set(hist), (hist if counts else None)

@@ -72,6 +72,10 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
         (["pattern", "--seq", "1,2"], "--seq"),
         # a schedule step whose k is not the current uniformity
         (["stepup", "--schedule", str(wrong_k)], "step 1 (up2)"),
+        # flags a hedgehog action needs but the hedgehog parser cannot require
+        (["hedgehog", "degeneracy"], "--hypergraph"),
+        (["hedgehog", "piercing", "--subset", "1"], "--hypergraph"),
+        (["hedgehog", "piercing", "--hypergraph", str(hyp)], "--subset"),
         # sample counts below 1
         (verify + ["--sample", "0"], "trials"),
         (verify + ["--sample", "-5"], "trials"),
@@ -253,7 +257,7 @@ def test_burr_erdos_small_check(capsys):
     assert "passed: True" in out
 
 
-def test_separated_subcommand(capsys):
+def test_separated_subcommand(tmp_path, capsys):
     code, out, _ = run(
         capsys, "separated", "--seq", "3 0 1 0 2", "--perm", "2 1",
         "--format", "json",
@@ -261,6 +265,21 @@ def test_separated_subcommand(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["witnesses"]["2 1"] == ["1", "3"]
+    wit = tmp_path / "sep.json"
+    wit.write_text(out)
+    code, out, _ = run(capsys, "validate", "--witness", str(wit))
+    assert code == 0 and "1 separated realizations check out" in out
+    # forged: no realizations at all, and a key that is not a permutation
+    # (positions 1 and 3 of 1 5 1 do have the pattern 1 1)
+    forged = [
+        ({**doc, "witnesses": {}}, "no separated realizations"),
+        ({**doc, "sequence": ["1", "5", "1"], "witnesses": {"1 1": ["1", "3"]}},
+         "not a permutation"),
+    ]
+    for bad, needle in forged:
+        wit.write_text(json.dumps(bad))
+        code, out, err = run(capsys, "validate", "--witness", str(wit))
+        assert code == 1 and needle in out and not err
     code, _, _ = run(capsys, "separated", "--seq", "1 2", "--perm", "1 2")
     assert code == 1
 

@@ -1,6 +1,7 @@
 """Bit-vector vertices and delta sequences against bit-level oracles."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -155,6 +156,25 @@ def test_exhaustive_small_subsets_have_both_properties():
         for combo in itertools.combinations(range(16), size):
             ds = dl.delta_sequence_of_ints(combo, 4)
             assert dl.check_unique_and_max(ds), combo
+
+
+def test_delta_classes_count_every_subset():
+    for m in range(1, 6):
+        for length in range(0, 6):
+            brute = {}
+            if length <= 4:
+                for combo in itertools.combinations(range(1 << m), length + 1):
+                    ds = tuple(map(dl.delta_bits, combo, combo[1:]))
+                    brute[ds] = brute.get(ds, 0) + 1
+            got = {}
+            for ds, n in dl.delta_classes(length, m):
+                assert ds not in got and n > 0, (length, m, ds)
+                got[ds] = n
+            assert sum(got.values()) == math.comb(1 << m, length + 1)
+            if length <= 4:
+                assert got == brute, (length, m)
+    with pytest.raises(ParameterError):
+        dl.delta_classes(-1, 3)
 
 
 def test_vertex_file_roundtrip_and_errors():

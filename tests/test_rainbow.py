@@ -96,6 +96,10 @@ def test_first_moment_params():
     assert fm.t0 == 9
     fm = rb.first_moment_params(3, 2, 50)
     assert fm.capped and fm.n == rb.DESK_UNIVERSE_CAP
+    # log2 n = 40000/3 is far past the float range of 2 ** exponent
+    fm = rb.first_moment_params(3, 2, 400)
+    assert fm.capped and fm.n == rb.DESK_UNIVERSE_CAP
+    assert fm.log2_n == Fraction(40000, 3)
 
 
 def test_expected_count_below_one_on_grid():

@@ -183,6 +183,43 @@ def test_budgets_by_exhaustive_sweep(base36, part35):
     assert len(seen) <= 3 and set(seen) <= set(base36.palette())
 
 
+def _edge_by_edge(c):
+    """Reference histogram: every edge through ``Colouring.colour``."""
+    hist = {}
+    for e in itertools.combinations(range(1, c.num_vertices + 1), c.uniformity):
+        col = c.colour(e)
+        hist[col] = hist.get(col, 0) + 1
+    return hist
+
+
+def _assert_sweep_is_exact(c):
+    hist = _edge_by_edge(c)
+    assert sum(hist.values()) == math.comb(c.num_vertices, c.uniformity)
+    assert su.sweep_reachable_colours(c, counts=True) == (set(hist), hist)
+    assert su.sweep_reachable_colours(c) == (set(hist), None)
+
+
+@pytest.mark.parametrize("step", [su.step_up_1, su.step_up_1b])
+def test_class_sweep_matches_every_edge_plus_one(base36, part35, step):
+    _assert_sweep_is_exact(step(base36, part35))  # C(64,4) edges
+
+
+def test_class_sweep_matches_every_edge_double():
+    base = su.random_colouring(3, 5, 3, seed=11)
+    _assert_sweep_is_exact(su.step_up_2(base, 4))  # C(32,6) edges
+
+
+@pytest.mark.parametrize("schedule", [
+    [("up2", 2, 2), ("up2", 4, 5)],  # 8-uniform on 16 vertices
+    [("up2", 2, 2), ("up1", 4, 3)],  # 5-uniform on 16 vertices
+    [("up2", 2, 2), ("up1b", 4, 3)],
+])
+def test_class_sweep_matches_every_edge_two_step_tower(schedule):
+    for seed in range(4):
+        base = su.random_colouring(2, 2, 2, seed=seed)
+        _assert_sweep_is_exact(su.tower_compose(base, schedule))
+
+
 def test_sweep_matches_direct_evaluation_on_sample(base36, part35):
     up1 = su.step_up_1(base36, part35)
     _, hist = su.sweep_reachable_colours(up1, counts=True)
