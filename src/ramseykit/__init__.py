@@ -15,6 +15,7 @@ from .errors import (
 from .seqpat import (
     InterlacingResult,
     Witness,
+    check_sequence_witness,
     contains_max_induced,
     contains_pattern,
     contains_separated_permutation,

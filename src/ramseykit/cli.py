@@ -186,6 +186,9 @@ def cmd_separated(args):
             "witnesses": {" ".join(map(str, sigma)): list(ix)} if ix else {},
             "found": ix is not None,
         }
+        if ix is None:
+            # a not-found report carries no witness for validate to check
+            del doc["witness_kind"], doc["witnesses"]
         _emit(args, doc)
         return PASS if ix is not None else FAIL
     res = seqpat.separated_interlacing(s, args.k)

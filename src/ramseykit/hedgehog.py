@@ -297,16 +297,9 @@ def extract_sunflower(h: Hypergraph, v: int, m: int, budget: int = DEFAULT_BUDGE
             f"piercing number of {v} is {tau.value}, below (r-1)*m = "
             f"{(h.r - 1) * m}"
         )
-    chosen: list[tuple[int, ...]] = []
-    used: set[int] = set()
-    for e in sorted(h.incident(v)):
-        rest = set(e) - {v}
-        if rest & used:
-            continue
-        chosen.append(e)
-        used |= rest
-        if len(chosen) == m:
-            return tuple(chosen)
+    chosen = _disjoint_star(sorted(h.incident(v)), v, m)
+    if len(chosen) == m:
+        return tuple(chosen)
     raise IncompleteSearchError(
         "greedy selection fell short despite the piercing bound",
         stage="sunflower-greedy",
@@ -698,7 +691,7 @@ def _refute_uncolourable_vertex(colouring, danger, v, k, t, c1, c2):
     details = {"vertex": v, "first": len(star1), "second": len(star2)}
     e_pick = _disjoint_star(star1, v, s)
     f_pick = _disjoint_star(star2, v, s)
-    if e_pick is None or f_pick is None:
+    if len(e_pick) < s or len(f_pick) < s:
         raise IncompleteSearchError(
             f"vertex {v} is endangered on both sides but the crossing "
             "construction cannot be assembled at this scale",
@@ -740,6 +733,8 @@ def _refute_uncolourable_vertex(colouring, danger, v, k, t, c1, c2):
 
 
 def _disjoint_star(edges, v, m):
+    """Greedy pick, in the given order, of up to ``m`` edges whose pairwise
+    intersections are exactly {v}; shorter when the edges run out."""
     chosen = []
     used: set[int] = set()
     for e in edges:
@@ -749,8 +744,8 @@ def _disjoint_star(edges, v, m):
         chosen.append(e)
         used |= rest
         if len(chosen) == m:
-            return chosen
-    return None
+            break
+    return chosen
 
 
 def _find_private(colouring, sub, target, used, n, k):

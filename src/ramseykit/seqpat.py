@@ -42,6 +42,7 @@ __all__ = [
     "contains_max_induced",
     "longest_homogeneous_max_induced",
     "is_homogeneous",
+    "check_sequence_witness",
     "has_left_property",
     "has_right_property",
     "has_unique_local_minimum",
@@ -211,17 +212,10 @@ def _search_indices(s, p, *, max_induced: bool, separated: bool):
     return None
 
 
-def is_homogeneous(s, strict: bool = False) -> bool:
-    """Monotone check: non-decreasing or non-increasing (strict on request).
-
-    The non-strict variant is the default notion of homogeneity; the strict
-    variant is exposed because sequences with the unique maximum property
-    upgrade monotone runs to strictly monotone ones.
-    """
+def is_homogeneous(s) -> bool:
+    """Monotone check: non-decreasing or non-increasing."""
     s = tuple(s)
     pairs = list(zip(s, s[1:]))
-    if strict:
-        return all(a < b for a, b in pairs) or all(a > b for a, b in pairs)
     return all(a <= b for a, b in pairs) or all(a >= b for a, b in pairs)
 
 
@@ -603,12 +597,12 @@ def find_l_r_or_homogeneous(s, left_perm, right_perm, _epsilon=None) -> Witness:
 
     eps = _epsilon if _epsilon is not None else 4.0 ** (-(len(L) + len(R)))
     kind, pos = _lrh_extract(s, tuple(range(len(s))), L, R, _epsilon)
-    if not _lrh_valid(s, kind, pos, L, R):
+    if check_sequence_witness(s, kind, [i + 1 for i in pos], L, R) is not None:
         # tie pathologies in the recursive assembly fall back to exhaustive search
         kind, pos = _lrh_base(s, tuple(range(len(s))), L, R, (len(s) ** eps) / 2.0)
 
     # the length guarantee is tied to the true exponent, not a testing override
-    if _epsilon is None and kind == "H" and math.log2(len(s)) * eps >= 1.0:
+    if _epsilon is None and kind == "homogeneous" and math.log2(len(s)) * eps >= 1.0:
         if len(pos) < (len(s) ** eps) / 2.0:
             raise RuntimeError(
                 "homogeneous witness below the guaranteed length bound"
@@ -616,25 +610,45 @@ def find_l_r_or_homogeneous(s, left_perm, right_perm, _epsilon=None) -> Witness:
 
     values = tuple(s[i] for i in pos)
     return Witness(
-        kind={"L": "L", "R": "R", "H": "homogeneous"}[kind],
+        kind=kind,
         indices=tuple(i + 1 for i in pos),
         values=values,
         pattern=pattern_of(values),
     )
 
 
-def _lrh_valid(s, kind, pos, L, R) -> bool:
-    if not pos or any(a >= b for a, b in zip(pos, pos[1:])):
-        return False
-    ix = tuple(i + 1 for i in pos)
-    if not is_max_induced(s, ix):
-        return False
-    values = subsequence(s, ix)
+def check_sequence_witness(s, kind, indices, left, right) -> str | None:
+    """Why a tagged subsequence witness fails, or ``None`` when it holds.
+
+    ``indices`` are 1-based into ``s`` and ``kind`` is ``"L"``, ``"R"`` or
+    ``"homogeneous"``.  Checked in order: the indices are non-empty and in
+    range, the subsequence is max-induced, and then either the tagged
+    pattern (``left`` for ``L``, ``right`` for ``R``) is a permutation with
+    the left or right property that the values realize, or the values are
+    monotone.
+    """
+    s = tuple(s)
+    if not indices:
+        return "index set is empty"
+    try:
+        if not is_max_induced(s, indices):
+            return "index set is not max-induced"
+    except ParameterError as exc:
+        return str(exc)
+    values = subsequence(s, indices)
+    if kind == "homogeneous":
+        return None if is_homogeneous(values) else "witness is not homogeneous"
     if kind == "L":
-        return pattern_of(values) == L
-    if kind == "R":
-        return pattern_of(values) == R
-    return is_homogeneous(values)
+        want, has_property, side = pattern_of(left), has_left_property, "left"
+    elif kind == "R":
+        want, has_property, side = pattern_of(right), has_right_property, "right"
+    else:
+        return f"unknown witness tag {kind!r}"
+    if not is_permutation_pattern(want) or not has_property(want):
+        return f"{want} is not a permutation with the {side} property"
+    if pattern_of(values) != want:
+        return f"pattern mismatch: {pattern_of(values)} != {want}"
+    return None
 
 
 def _lrh_base(s, view, L, R, half_h):
@@ -644,14 +658,14 @@ def _lrh_base(s, view, L, R, half_h):
     hlen, hwit = longest_homogeneous_max_induced(vals)
     hpos = tuple(view[i - 1] for i in hwit)
     if hlen >= half_h:
-        return ("H", hpos)
+        return ("homogeneous", hpos)
     w = contains_max_induced(vals, L)
     if w is not None:
         return ("L", tuple(view[i - 1] for i in w))
     w = contains_max_induced(vals, R)
     if w is not None:
         return ("R", tuple(view[i - 1] for i in w))
-    return ("H", hpos)
+    return ("homogeneous", hpos)
 
 
 def _runs_avoiding(lo, hi, forbidden):
@@ -720,7 +734,7 @@ def _lrh_extract(s, view, L, R, eps0):
             break
 
     def homog(positions):
-        return ("H", tuple(view[q] for q in positions))
+        return ("homogeneous", tuple(view[q] for q in positions))
 
     f_r_sorted = sorted(f_r)
     if len(f_l) != len(f_r_sorted):
@@ -803,20 +817,14 @@ def _lrh_extract(s, view, L, R, eps0):
         return res_a
     if res_b[0] == other:
         return res_b
-    hs = [r for r in (res_a, res_b) if r[0] == "H"]
+    hs = [r for r in (res_a, res_b) if r[0] == "homogeneous"]
     if hs:
         return max(hs, key=lambda r: len(r[1]))
 
     if heavy_side_left:
-        combined = res_a[1] + (view[jk],) + res_b[1]
-        kind = "L"
-        target = L
+        kind, combined = "L", res_a[1] + (view[jk],) + res_b[1]
     else:
-        combined = res_b[1] + (view[jk],) + res_a[1]
-        kind = "R"
-        target = R
-    if _lrh_valid(s, kind, combined, L, R) and pattern_of(
-        tuple(s[i] for i in combined)
-    ) == target:
+        kind, combined = "R", res_b[1] + (view[jk],) + res_a[1]
+    if check_sequence_witness(s, kind, [i + 1 for i in combined], L, R) is None:
         return (kind, combined)
     return _lrh_base(s, view, L, R, half_h)

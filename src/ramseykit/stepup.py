@@ -28,6 +28,7 @@ their base description plus schedule instead.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -213,7 +214,7 @@ class TabulatedColouring(Colouring):
         self._colours = tuple(colours)
         self.kind = kind
         self.seed = seed
-        expected = _ncr(num_vertices, uniformity)
+        expected = math.comb(num_vertices, uniformity)
         if len(self.table) != expected:
             raise ParameterError(
                 f"table has {len(self.table)} edges, expected {expected}"
@@ -224,12 +225,6 @@ class TabulatedColouring(Colouring):
 
     def _palette(self):
         return self._colours
-
-
-def _ncr(n, k):
-    import math
-
-    return math.comb(n, k)
 
 
 def random_colouring(k: int, n: int, q: int, seed: int) -> TabulatedColouring:
@@ -446,8 +441,6 @@ class SteppedDouble(Colouring):
         k = base.uniformity
         if p < 1:
             raise ParameterError("p must be positive")
-        import math
-
         if p > math.factorial(k):
             raise ParameterError(f"p = {p} exceeds k! = {math.factorial(k)}")
         super().__init__(2 * k, 1 << base.num_vertices)
@@ -700,6 +693,8 @@ class WitnessReport:
     branch: dict | None = None
 
     def revalidate(self, colouring: Colouring, vertices) -> bool:
+        """Re-check the edges or the branch against ``vertices``; a branch
+        with an unknown reason fails."""
         vs = set(vertices)
         if self.outcome == "p-colours":
             if len(self.edges) != self.target:
@@ -719,7 +714,14 @@ class WitnessReport:
             return seqpat.is_homogeneous(ds) and list(ds) == [
                 b["host_deltas"][i - 1] for i in ix
             ]
-        return True
+        if b.get("reason") == "too-small":
+            return len(vs) <= colouring.uniformity and b["size"] == len(vs)
+        if b.get("reason") == "separated-missing":
+            host = delta.delta_sequence_of_ints(
+                [v - 1 for v in sorted(vs)], colouring.base.num_vertices
+            ).deltas
+            return seqpat.contains_separated_permutation(host, b["permutation"]) is None
+        return False
 
 
 def witness_p_colours(colouring: Colouring, vertices) -> WitnessReport:

@@ -139,10 +139,21 @@ def test_tampered_witness_fails_validation(tmp_path, capsys):
         "--right", "1 2", "--format", "json", "--output", str(wit),
     )
     doc = json.loads(wit.read_text())
-    doc["indices"] = ["1", "3"]
-    wit.write_text(json.dumps(doc))
-    code, out, _ = run(capsys, "validate", "--witness", str(wit))
-    assert code == 1
+    forged = [
+        {**doc, "indices": ["1", "3"]},
+        # 1 3 2 is max-induced in 1 3 2 but lacks the left property
+        {**doc, "sequence": ["1", "3", "2"], "kind": "L", "left": ["1", "3", "2"],
+         "indices": ["1", "2", "3"], "values": ["1", "3", "2"]},
+        # one edge: no command writes p-colour witnesses, so validate
+        # knows no such kind
+        {"witness_kind": "p-colour-witness",
+         "colouring": {"type": "random", "k": "2", "n": "5", "q": "2", "seed": "1"},
+         "vertices": ["1", "2"], "edges": [{"edge": ["1", "2"], "colour": "b1"}]},
+    ]
+    for bad in forged:
+        wit.write_text(json.dumps(bad))
+        code, out, err = run(capsys, "validate", "--witness", str(wit))
+        assert code == 1 and "valid: False" in out and not err
 
 
 def test_malformed_witness_exit_2(tmp_path, capsys):
@@ -194,6 +205,11 @@ def test_verify_failure_witness_validates(tmp_path, capsys):
     assert code == 1
     code, out, _ = run(capsys, "validate", "--witness", str(rep))
     assert code == 0 and "violating" in out
+    # forged: a 2-vertex set spans one colour too, but t is 3
+    doc = json.loads(rep.read_text())
+    rep.write_text(json.dumps({**doc, "violating_set": ["1", "2"]}))
+    code, out, err = run(capsys, "validate", "--witness", str(rep))
+    assert code == 1 and "2 distinct vertices, not t = 3" in out and not err
 
 
 def test_reports_replay_bit_identically(tmp_path, capsys):
@@ -280,8 +296,13 @@ def test_separated_subcommand(tmp_path, capsys):
         wit.write_text(json.dumps(bad))
         code, out, err = run(capsys, "validate", "--witness", str(wit))
         assert code == 1 and needle in out and not err
-    code, _, _ = run(capsys, "separated", "--seq", "1 2", "--perm", "1 2")
-    assert code == 1
+    # not found: exit 1 with a report that holds no witness
+    code, out, _ = run(
+        capsys, "separated", "--seq", "1 2", "--perm", "1 2", "--format", "json"
+    )
+    doc = json.loads(out)
+    assert code == 1 and doc["found"] is False
+    assert "witness_kind" not in doc and "witnesses" not in doc
 
 
 def test_budget_env_override(tmp_path, capsys, monkeypatch):

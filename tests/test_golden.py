@@ -3,8 +3,10 @@ byte-identical across refactors.  Each entry holds the sha256 of the report
 that ``main`` writes to stdout with ``--format json`` and with
 ``--format text``; the JSON encoder sorts keys, so only the text digest
 sees the order of a report's fields.  Every run happens in a directory
-holding the three schedule files below and the hypergraph exported by
-``burr-erdos --n 12`` (relative paths keep the embedded config stable)."""
+holding the input files below, the hypergraph exported by
+``burr-erdos --n 12``, the ``gen-sk --k 3`` sequence and one witness file
+of each kind the CLI writes (relative paths keep the embedded config
+stable)."""
 
 import hashlib
 
@@ -12,10 +14,19 @@ import pytest
 
 from ramseykit.cli import main
 
-SCHEDULES = {
+INPUTS = {
     "up1.txt": "base random 3 6 3 42\nup1 3 5\n",
     "up1b.txt": "base random 3 6 3 42\nup1b 3 5\n",
     "up2.txt": "base random 2 6 3 42\nup2 2 2\n",
+    "seq.txt": "5 3 8 1 9 2 7 4 6 10 3 5\n",
+}
+
+# witness files the fixture writes, each with the command that writes it
+WITNESSES = {
+    "w-seq.json": "extract --seq-file seq.txt --left 1 --right 1,2",
+    "w-sep.json": "separated --seq-file seq.txt --perm 2,1",
+    "w-rv.json": "verify --random-base 2 9 2 3 --t 4 --p 2",
+    "w-emb.json": "hedgehog find-mono --random-base 3 20 2 1 --t 3",
 }
 
 # (argv, exit code, sha256 of the JSON report, sha256 of the text report)
@@ -73,6 +84,32 @@ GOLDEN = [
     ("preset --name lemma-k5-13", 0,
      "7f3a0b4386ce207d2798ec582a15ebc08e4fa9b8233b5223caeb37d5235b9649",
      "0555fc5fc199929f7c7d2db3c9e5b853a08f7ac38080899a09707bbe0404c5a8"),
+    # extraction: homogeneous, tag L, and the fence scan on gen-sk output
+    ("extract --seq-file seq.txt --left 2,1 --right 1,2", 0,
+     "1ef7fdb1efd4fb17b1cf79c44b75d13fc79370da3650301e0e1cac91a7eb52b8",
+     "d674e4b2d4287e45ff0fc05135c55b589786ae9b92c0cb56e6d647dfea7f98b6"),
+    ("extract --seq-file seq.txt --left 1 --right 1,2", 0,
+     "2c928df24f0be26af930694335ec8527c735b5a6c8eb520a35284f7c84cd5f83",
+     "235ee3c237df90c76025040c4a8df41c6e12cb18c40ff2293821d99d23d3c0e4"),
+    ("extract --seq-file sk3.txt --left 2,3,1 --right 1,3,2", 0,
+     "72801ba678c1706b53955a63a27d92f2a4bf0b2ffaf4bca24bd544f77b880e22",
+     "386dd08c910a753b883ccccf18697d2d7633cdf11e06329f302f74a025df6052"),
+    ("separated --seq-file seq.txt --perm 2,1", 0,
+     "2fc32cd384e1e512ef2090fe0257646708fecfb7b6b372e4774361ba239af5bb",
+     "9bb6cac2f5342034a41ec6cf1c77f2cf942323b1eff54e7d2c73319741237eed"),
+    # validate on one witness of each kind the CLI writes
+    ("validate --witness w-seq.json", 0,
+     "b5a137097c49e1886236f55b31bea1646db711c894e02cf04126a80929ca58e5",
+     "8de46b3d45699815eaeda4cd04ccb4574fe24c0ac808b9dc20eb2fcd9db8515d"),
+    ("validate --witness w-sep.json", 0,
+     "436ddb5092b7c140da6a9ecb86f21891189471306e94397b3bef7584430f9691",
+     "f98ec6c6b2f87dea27d46378c69311848d8485ba8c70ee07f7b4648165be5d1e"),
+    ("validate --witness w-rv.json", 0,
+     "f2bc6e9ac37a57d9f624dbc981c592f00abecb6051742b3b82712a40b1a13df1",
+     "33c8ad6be19d0300717e8d59330f4e62d1e89cbc16eabe72d300859d854116b1"),
+    ("validate --witness w-emb.json", 0,
+     "601ee53b089231ec17643140e9af91d0307858e677a001e01f924b585ed63ee5",
+     "713902ce2c1dda87f9744432c28ba12420f9e2e4a15232722779c003e52225b0"),
 ]
 
 IDS = [g[0] for g in GOLDEN]
@@ -81,10 +118,15 @@ IDS = [g[0] for g in GOLDEN]
 @pytest.fixture
 def workdir(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    for name, text in SCHEDULES.items():
+    for name, text in INPUTS.items():
         (tmp_path / name).write_text(text)
     assert main(["burr-erdos", "--n", "12", "--export", "h12.txt"]) == 0
     capsys.readouterr()
+    assert main(["gen-sk", "--k", "3", "--format", "text"]) == 0
+    (tmp_path / "sk3.txt").write_text(capsys.readouterr().out)
+    for name, argv in WITNESSES.items():
+        main(argv.split() + ["--format", "json", "--output", name])
+        assert (tmp_path / name).exists()
     return tmp_path
 
 

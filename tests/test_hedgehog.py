@@ -283,6 +283,20 @@ def test_find_mono_bigger_body():
     assert hh.validate_embedding(emb, c, 4)
 
 
+def test_pair_danger_matches_general_danger():
+    # the k=1 fast path against the hitting-set path it shortcuts, with
+    # thresholds below, at and above the mean co-degree (n-2)/2
+    for n in (12, 20):
+        mean = (n - 2) // 2
+        for seed in range(4):
+            c = su.random_colouring(3, n, 2, seed=seed)
+            c1, c2 = c.palette()
+            for thr in (mean - 2, mean, mean + 2):
+                fast = hh._pair_danger(c, n, thr, c1, c2)
+                slow = hh._general_danger(c, n, 1, thr, c1, c2, hh.DEFAULT_BUDGET)
+                assert fast == slow
+
+
 # --- the two-part host ---------------------------------------------------------------
 
 def test_burr_erdos_structure():

@@ -344,6 +344,28 @@ def test_extraction_random_revalidation():
         R = rng.choice(rights[rng.randint(2, 4)])
         w = sp.find_l_r_or_homogeneous(s, L, R)
         assert revalidates(s, w, L, R)
+        assert sp.check_sequence_witness(s, w.kind, w.indices, L, R) is None
+
+
+def test_check_sequence_witness_failures():
+    s = (1, 3, 2, 5, 4)
+    L, R = (2, 1), (1, 2)
+    assert sp.check_sequence_witness(s, "L", (2, 3), L, R) is None
+    assert sp.check_sequence_witness(s, "R", (1, 2), L, R) is None
+    assert sp.check_sequence_witness(s, "homogeneous", (2, 4), L, R) is None
+    cases = [
+        ("L", (), L, "empty"),
+        ("L", (5, 6), L, "1..5"),
+        ("L", (3, 2), L, "strictly increasing"),
+        ("R", (1, 3), R, "not max-induced"),
+        ("homogeneous", (2, 3, 4), L, "not homogeneous"),
+        ("X", (1, 2), L, "unknown witness tag"),
+        # 1 3 2 is realized max-induced at 1 2 3, but lacks the left property
+        ("L", (1, 2, 3), (1, 3, 2), "left property"),
+        ("L", (1, 2), L, "pattern mismatch"),
+    ]
+    for kind, ix, left, needle in cases:
+        assert needle in sp.check_sequence_witness(s, kind, ix, left, R)
 
 
 def test_extraction_deep_path_revalidation():

@@ -343,6 +343,22 @@ def test_witness_homogeneous_branch(base36, part35):
     assert rep.revalidate(up1, [1, 2, 3, 4, 5, 6])
 
 
+def test_forged_branch_reports_fail_revalidation(base36, part35):
+    up1 = su.step_up_1(base36, part35)
+    up2 = su.step_up_2(base36, 3)
+    small = su.witness_p_colours(up1, [5, 9])
+    assert small.revalidate(up1, [5, 9])
+    assert not small.revalidate(up1, [5, 9, 12, 20, 33])
+    forged = su.WitnessReport("branch", 5, branch={"reason": "too-small", "size": 3})
+    assert not forged.revalidate(up1, [5, 9])
+    # consecutive vertices give few distinct deltas: (1, 2, 3) is missing
+    missing = su.witness_p_colours(up2, range(1, 8))
+    assert missing.branch["reason"] == "separated-missing"
+    assert missing.revalidate(up2, range(1, 8))
+    assert su.witness_p_colours(up2, range(1, 12)).outcome == "p-colours"
+    assert not missing.revalidate(up2, range(1, 12))
+
+
 # --- determinism ---------------------------------------------------------------
 
 @settings(max_examples=60, deadline=None)
