@@ -2,10 +2,10 @@
 
 Exit codes: 0 on success/pass, 1 on a verified failure (for example a
 rainbow violation found or an exact non-existence result), 2 on parameter,
-file-format, or budget errors.  ``RAMSEY_BUDGET`` overrides the default
-work budget.  All files are UTF-8 with LF line endings; sequence files are
-one line of whitespace-separated integers; vertex indices in reports are
-1-based.
+file-format, budget or internal errors (one line on stderr, never a
+traceback).  ``RAMSEY_BUDGET`` overrides the default work budget.  All
+files are UTF-8 with LF line endings; sequence files are one line of
+whitespace-separated integers; vertex indices in reports are 1-based.
 """
 
 from __future__ import annotations
@@ -754,6 +754,9 @@ def main(argv=None) -> int:
     except IncompleteSearchError as exc:
         print(f"incomplete ({exc.stage}): {exc}", file=sys.stderr)
         return FAIL
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return USAGE
 
 
 if __name__ == "__main__":

@@ -291,11 +291,15 @@ def exact_rainbow_exists(
 
     Returns ``(exists, witness)`` where the witness is a
     :class:`TabulatedColouring` or ``None``.  Edges are assigned in
-    lexicographic order with two sound symmetry reductions: new colours
-    must be introduced in increasing order, and at shallow depths an
-    assignment is discarded when some vertex permutation maps the assigned
-    prefix onto itself with a lexicographically smaller relabelled colour
-    string.
+    lexicographic order and new colours are introduced in increasing
+    order, so the first solution found is the lexicographically least one.
+    Symmetry breaking keeps that solution: the first n - k + 1 edges are
+    the star {1..k-1} + {j}, j = k..n, which every permutation of k..n
+    maps onto itself.  Relabelled, any rearrangement of the star's colours
+    is part of another solution, so the least solution colours the star in
+    contiguous blocks 1^a1 2^a2 ... with a1 >= a2 >= ...; on the star the
+    search allows only the next new colour or a repeat of the previous
+    edge's colour that keeps the current block no longer than the last.
     """
     if t < k:
         raise ParameterError(f"t = {t} below the uniformity {k}")
@@ -314,50 +318,13 @@ def exact_rainbow_exists(
         idxs = [edge_index[e] for e in itertools.combinations(ts, k)]
         finish_at[max(idxs)].append(idxs)
 
-    # symmetry pruning compares prefixes of the first k + 2 edges
-    shallow_depth = min(m, k + 2)
-    perms = []
-    if n <= 8:
-        for sigma in itertools.permutations(range(1, n + 1)):
-            mapped = [
-                edge_index[tuple(sorted(sigma[v - 1] for v in e))] for e in edges
-            ]
-            if mapped[:shallow_depth] != list(range(shallow_depth)):
-                # only prefix-stabilizing permutations can compare prefixes
-                if not all(j < shallow_depth for j in mapped[:shallow_depth]):
-                    continue
-            if mapped == list(range(m)):
-                continue  # identity prunes nothing
-            perms.append(mapped)
-
+    star = n - k + 1
     colours = [0] * m
     nodes = 0
 
-    def recanon(prefix):
-        relabel: dict[int, int] = {}
-        out = []
-        for c in prefix:
-            if c not in relabel:
-                relabel[c] = len(relabel) + 1
-            out.append(relabel[c])
-        return out
-
-    def dominated(depth: int) -> bool:
-        cur = colours[:depth]
-        for mapped in perms:
-            img = [0] * depth
-            ok = True
-            for i in range(depth):
-                j = mapped[i]
-                if j >= depth:
-                    ok = False
-                    break
-                img[j] = colours[i]
-            if ok and recanon(img) < recanon(cur):
-                return True
-        return False
-
-    def dfs(depth: int, used: int) -> bool:
+    def dfs(depth: int, used: int, last: int, run: int) -> bool:
+        # last, run: lengths of the previous and the current star block;
+        # both start at m so that the first block may grow to any length
         nonlocal nodes
         if depth == m:
             return True
@@ -368,21 +335,26 @@ def exact_rainbow_exists(
                 estimate=nodes,
                 budget=budget,
             )
-        for c in range(1, min(q, used + 1) + 1):
+        if depth >= star:
+            choices = range(1, min(q, used + 1) + 1)
+        else:
+            choices = [colours[depth - 1]] if run < last else []
+            if used < q:
+                choices.append(used + 1)
+        for c in choices:
             colours[depth] = c
             ok = True
             for idxs in finish_at[depth]:
                 if len({colours[i] for i in idxs}) < p:
                     ok = False
                     break
-            if ok and depth + 1 <= shallow_depth and dominated(depth + 1):
-                ok = False
-            if ok and dfs(depth + 1, max(used, c)):
+            blocks = (run, 1) if c > used else (last, run + 1)
+            if ok and dfs(depth + 1, max(used, c), *blocks):
                 return True
         colours[depth] = 0
         return False
 
-    if dfs(0, 0):
+    if dfs(0, 0, m, m):
         table = {e: ("base", colours[i]) for i, e in enumerate(edges)}
         witness = TabulatedColouring(
             k, n, table, [("base", i) for i in range(1, q + 1)]

@@ -221,6 +221,6 @@ def _validate_embedding_doc(doc):
         colour=stepup.parse_colour(next(iter(cols))),
         stats={},
     )
-    if not hedgehog.validate_embedding(emb, c, len(body)):
+    if not hedgehog.validate_embedding(emb, c, int(doc["config"]["t"])):
         return False, "embedding fails re-validation"
     return True, "monochromatic embedding checks out"

@@ -708,20 +708,26 @@ class WitnessReport:
                 seen.add(col)
             return len(seen) == self.target
         b = self.branch or {}
-        if b.get("reason") == "homogeneous":
-            ix = b["delta_indices"]
-            ds = b["delta_values"]
-            return seqpat.is_homogeneous(ds) and list(ds) == [
-                b["host_deltas"][i - 1] for i in ix
-            ]
         if b.get("reason") == "too-small":
             return len(vs) <= colouring.uniformity and b["size"] == len(vs)
-        if b.get("reason") == "separated-missing":
-            host = delta.delta_sequence_of_ints(
-                [v - 1 for v in sorted(vs)], colouring.base.num_vertices
-            ).deltas
+        if b.get("reason") not in ("homogeneous", "separated-missing"):
+            return False
+        host = delta.delta_sequence_of_ints(
+            [v - 1 for v in sorted(vs)], colouring.base.num_vertices
+        ).deltas
+        if b["reason"] == "separated-missing":
             return seqpat.contains_separated_permutation(host, b["permutation"]) is None
-        return False
+        if not isinstance(colouring, SteppedPlusOne):
+            return False
+        ix = b["delta_indices"]
+        patterns = dict(_plus_one_targets(colouring)).get(b["missing"], ())
+        return (
+            tuple(b["host_deltas"]) == tuple(host)
+            and bool(patterns)
+            and seqpat.check_sequence_witness(host, "homogeneous", ix, (), ()) is None
+            and tuple(b["delta_values"]) == seqpat.subsequence(host, ix)
+            and all(seqpat.contains_max_induced(host, q) is None for q in patterns)
+        )
 
 
 def witness_p_colours(colouring: Colouring, vertices) -> WitnessReport:
@@ -758,8 +764,10 @@ def _edge_of(vertices) -> tuple[int, ...]:
     return tuple(w.value + 1 for w in vertices)
 
 
-def _witness_plus_one(c: SteppedPlusOne, ds: delta.DeltaSeq):
-    host = ds.deltas
+def _plus_one_targets(c: SteppedPlusOne):
+    """``(label, patterns)`` per colour the witness must realize: each
+    pattern class (its left and right representatives first), then the
+    two monotone directions unless they alias a class."""
     part = c.partition
     k = part.k
     targets = []
@@ -771,9 +779,13 @@ def _witness_plus_one(c: SteppedPlusOne, ds: delta.DeltaSeq):
     if not c.aliased:
         targets.append(("increasing", [tuple(range(1, k + 1))]))
         targets.append(("decreasing", [tuple(range(k, 0, -1))]))
+    return targets
 
+
+def _witness_plus_one(c: SteppedPlusOne, ds: delta.DeltaSeq):
+    host = ds.deltas
     edges = []
-    for label, patterns in targets:
+    for label, patterns in _plus_one_targets(c):
         ix = None
         for q in patterns:
             ix = seqpat.contains_max_induced(host, q)

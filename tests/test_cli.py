@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from ramseykit import cli
 from ramseykit.cli import main
 
 
@@ -102,6 +103,16 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
     assert "invalid int value: 'x'" in err and "Traceback" not in err
 
 
+def test_internal_error_exit_2(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("handler broke")
+
+    monkeypatch.setattr(cli, "cmd_pattern", broken)
+    code, out, err = run(capsys, "pattern", "--seq", "1 2")
+    assert code == 2 and not out
+    assert err == "internal error: RuntimeError: handler broke\n"
+
+
 def test_malformed_file_exit_2(tmp_path, capsys):
     bad = tmp_path / "seq.txt"
     bad.write_text("1 2 x\n")
@@ -139,7 +150,17 @@ def test_tampered_witness_fails_validation(tmp_path, capsys):
         "--right", "1 2", "--format", "json", "--output", str(wit),
     )
     doc = json.loads(wit.read_text())
+    emb = tmp_path / "emb.json"
+    run(
+        capsys, "hedgehog", "find-mono", "--random-base", "3", "20", "2", "1",
+        "--t", "3", "--format", "json", "--output", str(emb),
+    )
+    emb = json.loads(emb.read_text())
+    # the embedding cut down to a 2-vertex body with its one spine edge
+    body = emb["body"][:2]
+    spine = [e for e in emb["edges"] if e["subset"] == body]
     forged = [
+        {**emb, "body": body, "edges": spine},
         {**doc, "indices": ["1", "3"]},
         # 1 3 2 is max-induced in 1 3 2 but lacks the left property
         {**doc, "sequence": ["1", "3", "2"], "kind": "L", "left": ["1", "3", "2"],

@@ -6,7 +6,8 @@ sees the order of a report's fields.  Every run happens in a directory
 holding the input files below, the hypergraph exported by
 ``burr-erdos --n 12``, the ``gen-sk --k 3`` sequence and one witness file
 of each kind the CLI writes (relative paths keep the embedded config
-stable)."""
+stable).  The exact oracle's exported witness tables are pinned by sha256
+too, since its report alone does not show the witness."""
 
 import hashlib
 
@@ -97,6 +98,22 @@ GOLDEN = [
     ("separated --seq-file seq.txt --perm 2,1", 0,
      "2fc32cd384e1e512ef2090fe0257646708fecfb7b6b372e4774361ba239af5bb",
      "9bb6cac2f5342034a41ec6cf1c77f2cf942323b1eff54e7d2c73319741237eed"),
+    # exact oracle: four lex-least witnesses and one non-existence answer
+    ("exact-oracle --k 2 --n 5 --q 2 --t 3 --p 2", 0,
+     "398e9c6a89ddb8af34363434369ed9a7b5e6ec8b837eb4e60924433d654720a2",
+     "29cec8d51ba6354f7550ea849f50fb484f630b8abb41bbe54386e69e0c9d4b24"),
+    ("exact-oracle --k 2 --n 6 --q 2 --t 3 --p 2", 1,
+     "85415be9af658952abbe7e0ffa1a10d122378873caa5a4dd052dd9fb9b703b42",
+     "092391bd36814ebd727dc354d4c3b0c0e2f1940597fa7e9f17b434132c137d9e"),
+    ("exact-oracle --k 2 --n 7 --q 3 --t 4 --p 3", 0,
+     "5a49f7c25c2f2203ebd6c816dfccc7bbd90c46f188b54339ba6d39a6e9d38a0a",
+     "c302d582330d82c4b11e94fbd676d90a9752efb3da2f6b0232e7f1aa8ce7f404"),
+    ("exact-oracle --k 3 --n 6 --q 2 --t 4 --p 2", 0,
+     "2b09b33b233a4d489afe639249de1c0977e26f26463a811610e30d2e2e52bf0b",
+     "c8b5f49e985996e0bdcb8432e3ce39070a0122570550e6bedfd6d2812bf85d68"),
+    ("exact-oracle --k 3 --n 7 --q 2 --t 4 --p 2", 0,
+     "dc7ea7c1a2c58abce0c9a65a63b360609ef72b1debee5693e2cee23b155e59f5",
+     "9aec64753d847d6c4d8d79a343f3e7430a93a95fae9aad66de7d8fd244c7a406"),
     # validate on one witness of each kind the CLI writes
     ("validate --witness w-seq.json", 0,
      "b5a137097c49e1886236f55b31bea1646db711c894e02cf04126a80929ca58e5",
@@ -113,6 +130,15 @@ GOLDEN = [
 ]
 
 IDS = [g[0] for g in GOLDEN]
+
+# sha256 of the witness table that exact-oracle --export writes, per
+# instance "k n q t p"
+ORACLE_TABLES = {
+    "2 5 2 3 2": "78dc1f97b0f655a952cca38cff1cb524610272dd976071c8ec840737c237a90b",
+    "2 7 3 4 3": "432a9f7cc078ad95ee203bcc03bbbd000fba0eb77759487ec314b08936ae5d29",
+    "3 6 2 4 2": "884f8896718edea2cf42d26006286fbbb8bdbf1bfa8a865056a4a4615076e702",
+    "3 7 2 4 2": "d5ce4786488db0df0665742e0d8c6a5d93f6e75f38465d4849d103f738cefbc5",
+}
 
 
 @pytest.fixture
@@ -144,3 +170,12 @@ def test_golden_report(argv, code, digest, _text, workdir, capsys):
 @pytest.mark.parametrize("argv, code, _json, digest", GOLDEN, ids=IDS)
 def test_golden_text_report(argv, code, _json, digest, workdir, capsys):
     assert _digest(argv, "text", capsys) == (code, digest)
+
+
+@pytest.mark.parametrize("instance, digest", ORACLE_TABLES.items(), ids=list(ORACLE_TABLES))
+def test_golden_oracle_table(instance, digest, tmp_path, capsys):
+    flags = [f"--{name}={value}" for name, value in zip("knqtp", instance.split())]
+    table = tmp_path / "witness.txt"
+    assert main(["exact-oracle", *flags, "--export", str(table)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(table.read_bytes()).hexdigest() == digest

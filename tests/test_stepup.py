@@ -334,8 +334,8 @@ def test_witness_too_small_and_errors(base36, part35):
 
 
 def test_witness_homogeneous_branch(base36, part35):
-    # consecutive vertices 1..6 give delta sequences over {1,2} only, so
-    # a strictly increasing length-3 delta subsequence cannot exist
+    # consecutive vertices 1..6 have host deltas (1, 2, 1, 3, 1), in which
+    # no pattern of class 2 is max-induced
     up1 = su.step_up_1(base36, part35)
     rep = su.witness_p_colours(up1, [1, 2, 3, 4, 5, 6])
     assert rep.outcome == "branch"
@@ -357,6 +357,24 @@ def test_forged_branch_reports_fail_revalidation(base36, part35):
     assert missing.revalidate(up2, range(1, 8))
     assert su.witness_p_colours(up2, range(1, 12)).outcome == "p-colours"
     assert not missing.revalidate(up2, range(1, 12))
+    # homogeneous branch: the host deltas are recomputed from the vertices,
+    # the indices must be max-induced and the missing class unrealized
+    homog = su.witness_p_colours(up1, range(1, 7))
+    assert homog.branch["missing"] == "class 2"
+    assert su.witness_p_colours(up1, range(1, 65)).outcome == "p-colours"
+    forgeries = [
+        (range(1, 65), {"host_deltas": (1, 1, 1), "delta_indices": (1, 2),
+                        "delta_values": (1, 1)}),
+        (range(1, 7), {"host_deltas": (1, 1, 1), "delta_indices": (1, 2),
+                       "delta_values": (1, 1)}),
+        # (1, 3) in host deltas (1, 2, 1, 3, 1) skips the larger 2 between
+        (range(1, 7), {"delta_indices": (1, 3), "delta_values": (1, 1)}),
+        (range(1, 7), {"missing": "class 1"}),
+        (range(1, 7), {"missing": "class 9"}),
+    ]
+    for vertices, fields in forgeries:
+        forged = su.WitnessReport("branch", 5, branch={**homog.branch, **fields})
+        assert not forged.revalidate(up1, vertices), fields
 
 
 # --- determinism ---------------------------------------------------------------
