@@ -67,6 +67,15 @@ def verify_rainbow(
 ) -> RainbowReport:
     """Check that every (or each sampled) t-set spans at least p colours.
 
+    Each set's colours come from ``colouring.span``.  A stepped colouring
+    colours an edge by its delta sequence alone, and the deltas inside a
+    set are range maxima of the set's own deltas, so it computes a set's
+    span once per distinct delta sequence; a tabulated colouring reads its
+    table, and any other colouring memoizes edge colours.  Sets are visited
+    in the same order either way, and the report does not depend on how
+    spans are computed.  Sampling needs t <= n; exhaustively, t > n passes
+    with no set checked.
+
     ``workers`` must be at least 1 and is capped at the CPU count.
     ``workers > 1`` splits an exhaustive enumeration across processes by
     least vertex and replays the parts in order up to the first violation,
@@ -104,9 +113,11 @@ def verify_rainbow(
     elif mode == "sampled":
         if trials < 1:
             raise ParameterError(f"trials = {trials}, must be at least 1")
+        if t > n:
+            raise ParameterError(f"t = {t} exceeds n = {n}: no {t}-set to sample")
         rng = random.Random(seed)
         sets = (_sample_set(rng, n, t) for _ in range(trials))
-        violation, hist, checked = _scan(colouring, sets, p, {})
+        violation, hist, checked = _scan(colouring, sets, p)
     else:
         raise ParameterError(f"unknown mode {mode!r}")
 
@@ -126,24 +137,18 @@ def verify_rainbow(
     )
 
 
-def _scan(colouring, sets, p, cache):
+def _scan(colouring, sets, p):
     """Span histogram of ``sets`` in order, stopping at the first set that
     spans fewer than p colours.
 
     Returns ``(violation, histogram, count)`` where ``violation`` is
-    ``(set, sorted colours)`` or ``None``; ``cache`` memoizes edge colours.
+    ``(set, sorted colours)`` or ``None``.
     """
-    k = colouring.uniformity
-    colour = colouring.colour
+    span_of = colouring.span
     hist: dict[int, int] = {}
     checked = 0
     for ts in sets:
-        seen = set()
-        for e in itertools.combinations(ts, k):
-            c = cache.get(e)
-            if c is None:
-                c = cache[e] = colour(e)
-            seen.add(c)
+        seen = span_of(ts)
         checked += 1
         span = len(seen)
         hist[span] = hist.get(span, 0) + 1
@@ -157,11 +162,10 @@ def _scan_firsts(args):
     per least vertex in ``firsts``, up to the first violating part."""
     colouring, t, p, firsts = args
     n = colouring.num_vertices
-    cache: dict = {}
     parts = []
     for first in firsts:
         rests = itertools.combinations(range(first + 1, n + 1), t - 1)
-        part = _scan(colouring, map((first,).__add__, rests), p, cache)
+        part = _scan(colouring, map((first,).__add__, rests), p)
         parts.append((first, part))
         if part[0] is not None:
             break
@@ -300,6 +304,8 @@ def exact_rainbow_exists(
     contiguous blocks 1^a1 2^a2 ... with a1 >= a2 >= ...; on the star the
     search allows only the next new colour or a repeat of the previous
     edge's colour that keeps the current block no longer than the last.
+    When p exceeds q or C(t, k), no t-set can span p colours and the answer
+    is no without a search.
     """
     if t < k:
         raise ParameterError(f"t = {t} below the uniformity {k}")
@@ -307,6 +313,8 @@ def exact_rainbow_exists(
         return True, None  # no t-sets to violate anything
     if p < 1:
         raise ParameterError("p must be positive")
+    if p > min(q, math.comb(t, k)):
+        return False, None  # no t-set can span p colours
 
     edges = list(itertools.combinations(range(1, n + 1), k))
     m = len(edges)

@@ -27,10 +27,12 @@ their base description plus schedule instead.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import FileFormatError, ParameterError
 from . import delta, seqpat
@@ -161,6 +163,8 @@ class Colouring:
         self.uniformity = uniformity
         self.num_vertices = num_vertices
         self._palette_cache = None
+        # memo of span(): edge colours here, whole spans in stepped colourings
+        self._span_memo: dict = {}
 
     def check_edge(self, edge) -> tuple[int, ...]:
         e = tuple(sorted(edge))
@@ -179,6 +183,18 @@ class Colouring:
 
     def _colour(self, e):
         raise NotImplementedError
+
+    def span(self, ts):
+        """Colours of the edges inside ``ts``, a sorted tuple of distinct
+        vertices of the universe (not re-checked)."""
+        memo = self._span_memo
+        seen = set()
+        for e in itertools.combinations(ts, self.uniformity):
+            c = memo.get(e)
+            if c is None:
+                c = memo[e] = self._colour(e)
+            seen.add(c)
+        return seen
 
     def palette(self) -> tuple:
         """Declared colour space, canonically ordered; reachable colours
@@ -222,6 +238,10 @@ class TabulatedColouring(Colouring):
 
     def _colour(self, e):
         return self.table[e]
+
+    def span(self, ts):
+        edges = itertools.combinations(ts, self.uniformity)
+        return set(map(self.table.__getitem__, edges))
 
     def _palette(self):
         return self._colours
@@ -338,13 +358,60 @@ def partition_patterns(k: int, p: int) -> PatternClassPartition:
 # The doubling constructions
 # ---------------------------------------------------------------------------
 
-def _edge_deltas(e) -> tuple[int, ...]:
-    """Consecutive deltas of a sorted edge (vertex v is the bit vector of v - 1)."""
-    values = [v - 1 for v in e]
-    return tuple(map(delta.delta_bits, values, values[1:]))
+def _edge_deltas(vertices) -> tuple[int, ...]:
+    """Consecutive deltas of sorted distinct vertices (vertex v is the bit
+    vector of v - 1).  The formula of :func:`delta.delta_bits` is inlined:
+    this runs for every edge and every verified set."""
+    values = [v - 1 for v in vertices]
+    return tuple([(a ^ b).bit_length() for a, b in zip(values, values[1:])])
 
 
-class SteppedPlusOne(Colouring):
+@functools.lru_cache(maxsize=None)
+def _edge_delta_getters(t, k):
+    """One getter per k-subset of the positions 0..t-1 of a t-set: given
+    the flat table ``top[i*t + j]`` of the deltas between positions i < j,
+    it returns the delta sequence of the edge at those positions."""
+    getters = []
+    for pos in itertools.combinations(range(t), k):
+        idx = [a * t + b for a, b in zip(pos, pos[1:])]
+        if len(idx) == 1:  # itemgetter of one index returns no tuple
+            getters.append(lambda top, i=idx[0]: (top[i],))
+        else:
+            getters.append(itemgetter(*idx))
+    return tuple(getters)
+
+
+class _Stepped(Colouring):
+    """A colouring of the edges of a doubled universe by their delta
+    sequences alone, through ``colour_of_deltas``.
+
+    The delta between positions i < j of a vertex set is the largest of
+    the set's own consecutive deltas between them, so the colours spanned
+    by the set are a function of its delta sequence: :meth:`span` computes
+    them once per distinct sequence, from a table of those range maxima.
+    """
+
+    def _colour(self, e):
+        return self.colour_of_deltas(_edge_deltas(e))
+
+    def span(self, ts):
+        ds = _edge_deltas(ts)
+        got = self._span_memo.get(ds)
+        if got is None:
+            t = len(ts)
+            top = [0] * (t * t)
+            for i in range(t - 1):
+                m = 0
+                for j in range(i + 1, t):
+                    if ds[j - 1] > m:
+                        m = ds[j - 1]
+                    top[i * t + j] = m
+            keys = {g(top) for g in _edge_delta_getters(t, self.uniformity)}
+            got = self._span_memo[ds] = frozenset(map(self.colour_of_deltas, keys))
+        return got
+
+
+class SteppedPlusOne(_Stepped):
     """Colouring of the (k+1)-subsets of 1..2^n built from one of K_n^(k).
 
     Edges whose delta sequence is strictly monotone inherit the base colour
@@ -399,9 +466,6 @@ class SteppedPlusOne(Colouring):
             self.base.palette()[i - 1] if self.aliased else ("class", i)
         )
 
-    def _colour(self, e):
-        return self.colour_of_deltas(_edge_deltas(e))
-
     def _palette(self):
         if self.aliased:
             return self.base.palette()
@@ -427,7 +491,7 @@ class SteppedPlusOne(Colouring):
         return info
 
 
-class SteppedDouble(Colouring):
+class SteppedDouble(_Stepped):
     """Colouring of the 2k-subsets of 1..2^n built from one of K_n^(k).
 
     Only the odd-position deltas of an edge matter: when they are distinct
@@ -476,9 +540,6 @@ class SteppedDouble(Colouring):
         return f"permutation {i}", (
             "prod", self.base.colour(tuple(sorted(odds))), i
         )
-
-    def _colour(self, e):
-        return self.colour_of_deltas(_edge_deltas(e))
 
     def _palette(self):
         return [
@@ -740,7 +801,7 @@ def witness_p_colours(colouring: Colouring, vertices) -> WitnessReport:
     class or permutation has no realization at this scale the report
     carries the explaining branch instead.
     """
-    if not isinstance(colouring, (SteppedPlusOne, SteppedDouble)):
+    if not isinstance(colouring, _Stepped):
         raise ParameterError("witness extraction needs a stepped-up colouring")
     vs = sorted(set(vertices))
     if any(v < 1 or v > colouring.num_vertices for v in vs):
@@ -855,7 +916,7 @@ def sweep_reachable_colours(c: Colouring, counts: bool = False):
     other colouring is evaluated edge by edge.
     """
     hist: dict = {}
-    if isinstance(c, (SteppedPlusOne, SteppedDouble)):
+    if isinstance(c, _Stepped):
         for ds, n in delta.delta_classes(c.uniformity - 1, c.base.num_vertices):
             col = c.colour_of_deltas(ds)
             hist[col] = hist.get(col, 0) + n

@@ -80,6 +80,9 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
         # sample counts below 1
         (verify + ["--sample", "0"], "trials"),
         (verify + ["--sample", "-5"], "trials"),
+        # sampling t-sets from fewer than t vertices
+        (["verify", "--random-base", "2", "8", "2", "1", "--t", "10", "--p", "2",
+          "--sample", "5"], "t = 10 exceeds n = 8"),
         (["burr-erdos", "--n", "4", "--check", "sampled", "--sample", "-3"], "trials"),
         (["burr-erdos", "--n", "4", "--check", "sampled", "--sample", "0"], "trials"),
         # reports and exports into a missing directory

@@ -10,16 +10,25 @@ stable).  The exact oracle's exported witness tables are pinned by sha256
 too, since its report alone does not show the witness."""
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
+from ramseykit import cli
 from ramseykit.cli import main
+from ramseykit.hedgehog import lift_colouring
 
 INPUTS = {
     "up1.txt": "base random 3 6 3 42\nup1 3 5\n",
     "up1b.txt": "base random 3 6 3 42\nup1b 3 5\n",
     "up2.txt": "base random 2 6 3 42\nup2 2 2\n",
     "seq.txt": "5 3 8 1 9 2 7 4 6 10 3 5\n",
+    "up1-16.txt": "base random 3 4 3 11\nup1 3 5\n",
+    "up1-256.txt": "base random 3 8 3 5\nup1 3 5\n",
+    "up2-16.txt": "base random 2 4 6 1\nup2 2 2\n",
+    "up2-32.txt": "base random 3 5 3 8\nup2 3 4\n",
+    "tower-up1.txt": "base random 2 4 3 9\nup2 2 2\nup1 4 3\n",
+    "tower-up2.txt": "base random 2 4 3 9\nup2 2 2\nup2 4 5\n",
 }
 
 # witness files the fixture writes, each with the command that writes it
@@ -42,6 +51,28 @@ GOLDEN = [
     ("verify --schedule up1.txt --t 8 --p 3 --sample 200 --seed 7", 0,
      "2174fdc517352822d7890bc9f180cc6fe22aea797cd96501934a40d5a01effe9",
      "3f26a2fb68b6146baad18bcfe23e00b54a357ff1e29b7fffe1b4f65215b71812"),
+    # stepped verify: exhaustive up1 on 16 vertices passing and failing
+    # (partial histogram), sampled up1 on 256 vertices written to a file,
+    # exhaustive up2 on 32 vertices, and two-step towers on 2^16 vertices
+    ("verify --schedule up1-16.txt --t 8 --p 4", 0,
+     "f16885fffc193e160d099cab801aeebc3cbd36f8205f072e082772f7dfae2ac8",
+     "6cea64eb7fd09f751dac2860a1bcec86bf2a871622628a257ff3f41b7bc0f7cb"),
+    ("verify --schedule up1-16.txt --t 7 --p 4", 1,
+     "7c7d89076d8424997a3e825f13b722b65ec9a8c8130fff8b45f5667e0e4ca280",
+     "060fb8ae942fb62e3c9655b3d5c3cf49791474d85d0e7e03b8013a5d93e9985d"),
+    ("verify --schedule up1-256.txt --t 9 --p 3 --sample 300 --seed 4 "
+     "--output v256.out", 0,
+     "235c48b1434217ed7f417efb19e0857337b4c15e2f3ec176c70f770c424a9d20",
+     "6975acd4cce70509dbb18c6017b0ce5927f22d9e02106c3fc3e0d44ba434f92e"),
+    ("verify --schedule up2-32.txt --t 8 --p 3", 1,
+     "29c2533b58575997d809e2997113417f0ceadca6cb626be48587757bcf416dea",
+     "cbc9dfe8c13d81deab71cccd62af9103eff57c1fc397dd631e99eb753fda0587"),
+    ("verify --schedule tower-up1.txt --t 9 --p 1 --sample 300 --seed 2", 0,
+     "c0ad8e318f150aac144a68395e94adc4327a3004baa57ad382fb523ef0fc7223",
+     "e0b87e6c83bc2b11f0c0c24776e60eef68f0f0592f956154f9f7043cdf9f3691"),
+    ("verify --schedule tower-up2.txt --t 11 --p 1 --sample 300 --seed 2", 0,
+     "7ce4bd7eb8f068b4bc195d658b4f3e418be6a514c3fd1bd6b1efb18d4a8b57a9",
+     "3a4a9700ab7b32f3564dbaab4417751fb30caa7843311e6a7b9c16d96fee1b23"),
     # explain cases: increasing, decreasing, class, permutation tag, sentinel
     ("stepup --schedule up1.txt --edge 1,2,4,8 --explain", 0,
      "34d97b1d82ec254347f6b08d351d54fed078561b1f3f89b04763547e30e0b785",
@@ -131,6 +162,14 @@ GOLDEN = [
 
 IDS = [g[0] for g in GOLDEN]
 
+# a schedule ending in a lift step: schedule files hold only doubling
+# steps, so the test lifts the colouring that --schedule builds, and the
+# report's colouring spec records the lift as its last step
+LIFTED = ("verify --schedule up2-16.txt --t 7 --p 3", 1, {
+    "json": "cb1cb418a434c67480022ec653797e78596c7c1d32c224a908bd77d1bffca67c",
+    "text": "2262c54f4ba9e2b05a5afbc86909976bd31e0bb8be2ba09c728f8c8b11905874",
+})
+
 # sha256 of the witness table that exact-oracle --export writes, per
 # instance "k n q t p"
 ORACLE_TABLES = {
@@ -157,8 +196,12 @@ def workdir(tmp_path, monkeypatch, capsys):
 
 
 def _digest(argv, fmt, capsys):
-    got = main(argv.split() + ["--format", fmt])
+    """Exit code and sha256 of stdout followed by the ``--output`` file."""
+    args = argv.split() + ["--format", fmt]
+    got = main(args)
     out = capsys.readouterr().out
+    if "--output" in args:
+        out += Path(args[args.index("--output") + 1]).read_text()
     return got, hashlib.sha256(out.encode()).hexdigest()
 
 
@@ -170,6 +213,16 @@ def test_golden_report(argv, code, digest, _text, workdir, capsys):
 @pytest.mark.parametrize("argv, code, _json, digest", GOLDEN, ids=IDS)
 def test_golden_text_report(argv, code, _json, digest, workdir, capsys):
     assert _digest(argv, "text", capsys) == (code, digest)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_golden_lifted_verify(fmt, workdir, capsys, monkeypatch):
+    argv, code, digests = LIFTED
+    load = cli._load_schedule_colouring
+    monkeypatch.setattr(
+        cli, "_load_schedule_colouring", lambda args: lift_colouring(load(args), 5)
+    )
+    assert _digest(argv, fmt, capsys) == (code, digests[fmt])
 
 
 @pytest.mark.parametrize("instance, digest", ORACLE_TABLES.items(), ids=list(ORACLE_TABLES))

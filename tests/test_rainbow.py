@@ -3,6 +3,7 @@ exact existence oracle."""
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from ramseykit import rainbow as rb
 from ramseykit import stepup as su
 from ramseykit.errors import BudgetExceededError, ParameterError
+from ramseykit.hedgehog import LiftedColouring
 
 
 def pentagon():
@@ -85,6 +87,88 @@ def test_parallel_verify_matches_serial():
     serial = rb.verify_rainbow(bad, 4, 2)
     assert not serial.passed and serial.sets_checked < math.comb(9, 4)
     assert rb.verify_rainbow(bad, 4, 2, workers=2) == serial
+
+
+def reference_scan(c, t, p):
+    """Exhaustive scan edge by edge through ``Colouring.colour``: the
+    least violating set with its sorted colours (or ``None``, ()), the span
+    histogram up to it, and the number of sets checked."""
+    hist, count = {}, 0
+    for ts in itertools.combinations(range(1, c.num_vertices + 1), t):
+        seen = {c.colour(e) for e in itertools.combinations(ts, c.uniformity)}
+        count += 1
+        hist[len(seen)] = hist.get(len(seen), 0) + 1
+        if len(seen) < p:
+            return ts, tuple(sorted(seen)), hist, count
+    return None, (), hist, count
+
+
+def stepped(k, n, q, seed, steps):
+    return su.tower_compose(su.random_colouring(k, n, q, seed), steps)
+
+
+@pytest.mark.parametrize("schedule, t, p, passed", [
+    ((3, 4, 3, 11, [("up1", 3, 5)]), 6, 3, True),     # 16 vertices
+    ((3, 4, 3, 12, [("up1", 3, 5)]), 7, 4, False),
+    ((3, 4, 3, 11, [("up1b", 3, 5)]), 6, 2, False),
+    ((2, 4, 3, 1, [("up2", 2, 2)]), 6, 2, False),
+    ((2, 4, 3, 1, [("up2", 2, 2)]), 6, 1, True),
+    ((3, 5, 3, 8, [("up2", 3, 4)]), 8, 3, False),     # 32 vertices
+    ((3, 6, 3, 42, [("up1", 3, 5)]), 5, 3, False),    # 64 vertices
+])
+def test_stepped_verify_matches_edge_by_edge_scan(schedule, t, p, passed):
+    c = stepped(*schedule)
+    rep = rb.verify_rainbow(c, t, p)
+    violating_set, colours, hist, count = reference_scan(c, t, p)
+    assert rep.passed == passed == (violating_set is None)
+    assert (rep.violating_set, rep.violating_colours) == (violating_set, colours)
+    assert (rep.histogram, rep.sets_checked) == (hist, count)
+    if not passed:
+        assert count < math.comb(c.num_vertices, t)  # a partial histogram
+
+
+def test_stepped_parallel_verify_matches_serial():
+    for seed, t, p in ((11, 6, 3), (12, 7, 4)):
+        c = stepped(3, 4, 3, seed, [("up1", 3, 5)])
+        serial = rb.verify_rainbow(c, t, p)
+        fresh = stepped(3, 4, 3, seed, [("up1", 3, 5)])
+        assert rb.verify_rainbow(fresh, t, p, workers=2) == serial
+
+
+class CountingLift(LiftedColouring):
+    calls = 0
+
+    def _colour(self, e):
+        self.calls += 1
+        return super()._colour(e)
+
+
+def test_lifted_verify_colours_each_edge_once():
+    # the scan that memoized edge colours per verify call coloured each
+    # distinct edge it met once; the per-instance memo does no more
+    base = stepped(2, 4, 6, 1, [("up2", 2, 2)])
+    c = CountingLift(base, 5)
+    rep = rb.verify_rainbow(c, 7, 1)
+    assert rep.passed and c.calls == math.comb(16, 5)
+    assert rb.verify_rainbow(c, 7, 1) == rep and c.calls == math.comb(16, 5)
+    c = CountingLift(base, 5)
+    rep = rb.verify_rainbow(c, 7, 1, mode="sampled", trials=50, seed=3)
+    rng = random.Random(3)
+    edges = {
+        e
+        for _ in range(50)
+        for e in itertools.combinations(rb._sample_set(rng, 16, 7), 5)
+    }
+    assert rep.passed and c.calls == len(edges)
+
+
+def test_t_beyond_n():
+    rep = rb.verify_rainbow(pentagon(), 7, 2)
+    assert rep.passed and rep.sets_checked == 0 and rep.histogram == {}
+    with pytest.raises(ParameterError, match="t = 7 exceeds n = 5"):
+        rb.verify_rainbow(pentagon(), 7, 2, mode="sampled", trials=5)
+    rep = rb.verify_rainbow(pentagon(), 5, 2, mode="sampled", trials=3)
+    assert rep.passed and rep.sets_checked == 3  # t = n samples the one set
 
 
 def test_first_moment_params():
@@ -205,6 +289,13 @@ def test_exact_oracle_matches_unpruned_search():
                     assert got == want, (k, n, q, t, p)
                     compared += 1
     assert compared >= 400
+
+
+def test_exact_oracle_p_beyond_q_or_edges():
+    # a t-set spans at most q colours and at most C(t, k): no search needed
+    for k, n, q, t, p in ((2, 7, 3, 6, 4), (3, 7, 2, 5, 3), (2, 5, 4, 2, 2)):
+        assert rb.exact_rainbow_exists(k, n, q, t, p, budget=100) == (False, None)
+    assert rb.exact_rainbow_exists(2, 4, 2, 5, 3, budget=100) == (True, None)  # n < t
 
 
 def test_exact_oracle_budget():

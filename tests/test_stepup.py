@@ -236,6 +236,34 @@ def test_sweep_matches_direct_evaluation_on_sample(base36, part35):
         assert up1.colour(e) == up1x.colour(e)
 
 
+SPAN_CASES = {
+    "up1": lambda b, part: su.step_up_1(b, part),
+    "up1b": lambda b, part: su.step_up_1b(b, part),
+    "up2": lambda b, part: su.step_up_2(su.random_colouring(2, 6, 3, seed=42), 2),
+    # two-step towers on 256 vertices
+    "up2-up2": lambda b, part: su.tower_compose(
+        su.random_colouring(2, 3, 3, seed=9), [("up2", 2, 2), ("up2", 4, 5)]),
+    "up2-up1": lambda b, part: su.tower_compose(
+        su.random_colouring(2, 3, 3, seed=9), [("up2", 2, 2), ("up1", 4, 3)]),
+    "up2-up1b": lambda b, part: su.tower_compose(
+        su.random_colouring(2, 3, 3, seed=9), [("up2", 2, 2), ("up1b", 4, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", list(SPAN_CASES))
+def test_span_matches_edge_colours(base36, part35, name):
+    c = SPAN_CASES[name](base36, part35)
+    k, n = c.uniformity, c.num_vertices
+    rng = random.Random(name)
+    for i in range(300):
+        # every other set comes from the first 16 vertices, where delta
+        # sequences repeat and the per-sequence memo answers
+        top = 16 if i % 2 else n
+        ts = tuple(sorted(rng.sample(range(1, top + 1), rng.randint(k, k + 5))))
+        want = {c.colour(e) for e in itertools.combinations(ts, k)}
+        assert c.span(ts) == want, ts
+
+
 def test_tower_compose(base36, part35):
     assert su.tower_compose(base36, []) is base36
     t1 = su.tower_compose(base36, [("up1", 3, 5)])
