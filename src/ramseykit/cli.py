@@ -2,10 +2,12 @@
 
 Exit codes: 0 on success/pass, 1 on a verified failure (for example a
 rainbow violation found or an exact non-existence result), 2 on parameter,
-file-format, budget or internal errors (one line on stderr, never a
-traceback).  ``RAMSEY_BUDGET`` overrides the default work budget.  All
-files are UTF-8 with LF line endings; sequence files are one line of
-whitespace-separated integers; vertex indices in reports are 1-based.
+file-format, budget or internal errors and on a constructive search that
+ran out of attempts (one line on stderr, never a traceback).
+``RAMSEY_BUDGET`` overrides the default work budget.  All files are UTF-8
+with LF line endings, ``#`` starts a comment and blank lines are skipped;
+sequence files hold whitespace-separated integers; vertex indices in
+reports are 1-based.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from .errors import (
     IncompleteSearchError,
     ParameterError,
     PreconditionError,
+    ints,
+    records,
 )
 from . import delta, hedgehog, rainbow, report, seqpat, stepup
 
@@ -45,34 +49,25 @@ def _write(path, text):
         raise FileFormatError(f"cannot write: {exc}", path=path) from None
 
 
-def _int_list(text, flag, commas=True, path=None):
-    """Integers separated by whitespace and, when ``commas``, by commas.
-
-    A bad token raises ParameterError naming ``flag``, or FileFormatError
-    with path and line when ``text`` was read from the file ``path``.
-    """
+def _int_list(text, flag, commas=True):
+    """Integers separated by whitespace and, when ``commas``, by commas;
+    a bad token raises ParameterError naming ``flag``."""
     if commas:
         text = text.replace(",", " ")
-    out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        for tok in line.split():
-            try:
-                out.append(int(tok))
-            except ValueError:
-                if path is not None:
-                    raise FileFormatError(
-                        f"bad integer {tok!r}", path=path, line=lineno
-                    ) from None
-                raise ParameterError(f"{flag}: bad integer {tok!r}") from None
-    return tuple(out)
+    try:
+        return ints(text.split(), "integer", None, None)
+    except FileFormatError as exc:
+        raise ParameterError(f"{flag}: {exc}") from None
 
 
 def _sequence_arg(args):
     if args.seq is not None:
         return _int_list(args.seq, "--seq", commas=False)
     if args.seq_file is not None:
-        return _int_list(
-            _read(args.seq_file), "--seq-file", commas=False, path=args.seq_file
+        path = args.seq_file
+        return tuple(
+            v for line, toks in records(_read(path))
+            for v in ints(toks, "integer", path, line)
         )
     raise ParameterError("provide --seq or --seq-file")
 
@@ -753,7 +748,7 @@ def main(argv=None) -> int:
         return USAGE
     except IncompleteSearchError as exc:
         print(f"incomplete ({exc.stage}): {exc}", file=sys.stderr)
-        return FAIL
+        return USAGE
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return USAGE

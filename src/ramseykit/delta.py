@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import total_ordering
 
-from .errors import FileFormatError, ParameterError, PreconditionError
+from .errors import FileFormatError, ParameterError, PreconditionError, ints, records
 from . import seqpat
 
 __all__ = [
@@ -233,39 +233,25 @@ def realize_separated(ds: DeltaSeq, ix) -> tuple[BinVertex, ...]:
 
 def parse_vertex_file(text: str, path=None) -> tuple[BinVertex, ...]:
     """Parse an ``m=`` headed vertex-set file into vertices."""
-    width = None
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if width is None:
-            if not line.startswith("m="):
-                raise FileFormatError(
-                    "expected 'm=<width>' header before vertex values",
-                    path=path,
-                    line=lineno,
-                )
-            try:
-                width = int(line[2:])
-            except ValueError:
-                raise FileFormatError(
-                    f"bad width {line[2:]!r}", path=path, line=lineno
-                ) from None
-            continue
-        for tok in line.split():
-            try:
-                value = int(tok)
-            except ValueError:
-                raise FileFormatError(
-                    f"bad vertex value {tok!r}", path=path, line=lineno
-                ) from None
-            try:
-                out.append(BinVertex(value, width))
-            except ParameterError as exc:
-                raise FileFormatError(str(exc), path=path, line=lineno) from None
-    if width is None:
+    rows = records(text)
+    if not rows:
         raise FileFormatError("empty vertex file", path=path)
+    headerline, head = rows[0]
+    head = " ".join(head)
+    width = ints(head[2:].split(), "width", path, headerline) if head[:2] == "m=" else ()
+    if len(width) != 1:
+        raise FileFormatError(
+            "expected 'm=<width>' header before vertex values",
+            path=path,
+            line=headerline,
+        )
+    out = []
+    for lineno, toks in rows[1:]:
+        values = ints(toks, "vertex value", path, lineno)
+        try:
+            out.extend(BinVertex(v, width[0]) for v in values)
+        except ParameterError as exc:
+            raise FileFormatError(str(exc), path=path, line=lineno) from None
     return tuple(out)
 
 

@@ -61,4 +61,27 @@ class FileFormatError(RamseyKitError, ValueError):
         self.line = line
 
 
+def records(text):
+    """The ``(line number, tokens)`` of each line of ``text`` that holds a
+    token once its ``#`` comment is dropped; line numbers start at 1."""
+    out = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        toks = line.split("#", 1)[0].split()
+        if toks:
+            out.append((lineno, toks))
+    return out
+
+
+def ints(tokens, what, path, line):
+    """``tokens`` as a tuple of integers; a bad one raises FileFormatError
+    naming ``what`` at ``path:line``."""
+    out = []
+    for tok in tokens:
+        try:
+            out.append(int(tok))
+        except ValueError:
+            raise FileFormatError(f"bad {what} {tok!r}", path=path, line=line) from None
+    return tuple(out)
+
+
 DEFAULT_BUDGET = 10**9

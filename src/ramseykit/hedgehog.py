@@ -23,6 +23,8 @@ from .errors import (
     ParameterError,
     PreconditionError,
     IncompleteSearchError,
+    ints,
+    records,
 )
 from .stepup import Colouring, colour_str
 from . import rainbow as _rainbow
@@ -480,9 +482,6 @@ class HedgehogEmbedding:
     colour: object
     stats: dict
 
-    def host_edges(self):
-        return [tuple(sorted(sub + priv)) for sub, priv in self.edges]
-
     def to_dict(self) -> dict:
         return {
             "body": list(self.body),
@@ -877,48 +876,37 @@ def format_hypergraph(h: Hypergraph) -> str:
 
 
 def parse_hypergraph(text: str, path=None) -> Hypergraph:
-    header = None
-    edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
-        if header is None:
-            if len(toks) != 3:
-                raise FileFormatError(
-                    "expected header 'r |V| |E|'", path=path, line=lineno
-                )
-            try:
-                header = tuple(int(x) for x in toks)
-            except ValueError:
-                raise FileFormatError(
-                    f"bad header {line!r}", path=path, line=lineno
-                ) from None
-            continue
-        try:
-            e = tuple(sorted(int(x) for x in toks))
-        except ValueError:
-            raise FileFormatError(
-                f"bad vertex in {line!r}", path=path, line=lineno
-            ) from None
-        if len(e) != header[0]:
-            raise FileFormatError(
-                f"edge arity {len(e)} != {header[0]}", path=path, line=lineno
-            )
-        edges.append(e)
-    if header is None:
+    rows = records(text)
+    if not rows:
         raise FileFormatError("empty hypergraph file", path=path)
-    r, nv, ne = header
+    headerline, head = rows[0]
+    if len(head) != 3:
+        raise FileFormatError("expected header 'r |V| |E|'", path=path, line=headerline)
+    r, nv, ne = ints(head, "header value", path, headerline)
+    edges = {}  # sorted edge -> its line
+    for lineno, toks in rows[1:]:
+        e = tuple(sorted(ints(toks, "vertex", path, lineno)))
+        if len(e) != r or len(set(e)) != r:
+            raise FileFormatError(
+                f"edge {e} is not a set of {r} distinct vertices", path=path, line=lineno
+            )
+        if e in edges:
+            raise FileFormatError(
+                f"duplicate edge {e} (first on line {edges[e]})", path=path, line=lineno
+            )
+        edges[e] = lineno
     if len(edges) != ne:
         raise FileFormatError(
-            f"header promises {ne} edges, file has {len(edges)}", path=path
+            f"header promises {ne} edges, file has {len(edges)}",
+            path=path,
+            line=headerline,
         )
     vertices = sorted(set(itertools.chain.from_iterable(edges)))
     if len(vertices) > nv:
         raise FileFormatError(
             f"header promises {nv} vertices, edges use {len(vertices)}",
             path=path,
+            line=headerline,
         )
     if len(vertices) < nv:
         # isolated vertices are allowed; label them past the named ones
@@ -930,4 +918,4 @@ def parse_hypergraph(text: str, path=None) -> Hypergraph:
                 extra.append(v)
             v += 1
         vertices = sorted(vertices + extra)
-    return Hypergraph(r, tuple(vertices), tuple(sorted(set(edges))))
+    return Hypergraph(r, tuple(vertices), tuple(sorted(edges)))

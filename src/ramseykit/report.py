@@ -126,16 +126,8 @@ def build_colouring(spec: dict):
     if t == "burr-erdos-host":
         return hedgehog.BurrErdosHost(int(spec["n"]))
     if t == "schedule":
-        c = build_colouring(spec["base"])
-        doubling = []
-        for step in spec["steps"]:
-            name, k, p = step[0], int(step[1]), int(step[2])
-            if name == "lift":
-                c = hedgehog.lift_colouring(stepup.tower_compose(c, doubling), p)
-                doubling = []
-            else:
-                doubling.append((name, k, p))
-        return stepup.tower_compose(c, doubling)
+        steps = [(name, int(k), int(p)) for name, k, p in spec["steps"]]
+        return stepup.tower_compose(build_colouring(spec["base"]), steps)
     raise ParameterError(f"unknown colouring spec type {t!r}")
 
 

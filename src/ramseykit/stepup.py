@@ -34,7 +34,7 @@ import random
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .errors import FileFormatError, ParameterError
+from .errors import FileFormatError, ParameterError, ints, records
 from . import delta, seqpat
 
 __all__ = [
@@ -117,7 +117,7 @@ def parse_colour(text: str):
         if ch in "bc":
             pos += 1
             start = pos
-            while pos < len(s) and s[pos].isdigit():
+            while pos < len(s) and s[pos].isdecimal():
                 pos += 1
             if start == pos:
                 err("missing index")
@@ -131,7 +131,7 @@ def parse_colour(text: str):
         while pos < len(s) and s[pos] == "*":
             pos += 1
             start = pos
-            while pos < len(s) and s[pos].isdigit():
+            while pos < len(s) and s[pos].isdecimal():
                 pos += 1
             if start == pos:
                 err("missing tag")
@@ -213,12 +213,6 @@ class Colouring:
     def explain(self, edge) -> dict:
         e = self.check_edge(edge)
         return {"kind": self.kind, "edge": e, "colour": colour_str(self._colour(e))}
-
-    def describe(self) -> str:
-        return (
-            f"{self.kind} colouring of the {self.uniformity}-subsets of "
-            f"1..{self.num_vertices} with at most {self.budget} colours"
-        )
 
 
 class TabulatedColouring(Colouring):
@@ -579,12 +573,14 @@ def step_up_2(base: Colouring, p: int) -> SteppedDouble:
 
 
 def tower_compose(base: Colouring, steps) -> Colouring:
-    """Fold a schedule of doubling steps over a ground colouring.
+    """Fold a schedule of doubling and lifting steps over a ground colouring.
 
     ``steps`` holds the ``(name, k, p)`` triples of :func:`parse_schedule`
-    with name ``up1``, ``up1b`` or ``up2``; each step's ``k`` must be the
-    uniformity it steps up from, uniformities and budgets are validated
-    per step, and an infeasible schedule reports the failing step.
+    with name ``up1``, ``up1b`` or ``up2``, or ``("lift", s, k)`` for
+    :func:`hedgehog.lift_colouring` to uniformity ``k``; each step's
+    ``k`` (``s``) must be the uniformity it steps up from, uniformities
+    and budgets are validated per step, and an infeasible schedule
+    reports the failing step.
     """
     cur = base
     for pos, (name, k, p) in enumerate(steps, start=1):
@@ -600,6 +596,10 @@ def tower_compose(base: Colouring, steps) -> Colouring:
                 cur = step_up_1b(cur, partition_patterns(k, p))
             elif name == "up2":
                 cur = step_up_2(cur, p)
+            elif name == "lift":
+                from .hedgehog import lift_colouring  # hedgehog imports stepup
+
+                cur = lift_colouring(cur, p)
             else:
                 raise ParameterError(f"unknown step {name!r}")
         except ParameterError as exc:
@@ -613,40 +613,29 @@ def parse_schedule(text: str, path=None):
     ``base_spec`` is ``None`` or ``("random", k, n, q, seed)`` or
     ``("file", pathname)``; ``raw_steps`` is a list of ``(name, k, p)``.
     """
+    rows = records(text)
     base_spec = None
-    steps = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
-        if toks[0] == "base":
-            if steps or base_spec is not None:
-                raise FileFormatError(
-                    "base line must come first", path=path, line=lineno
-                )
-            if toks[1] == "random" and len(toks) == 6:
-                base_spec = ("random",) + tuple(int(x) for x in toks[2:])
-            elif toks[1] == "file" and len(toks) == 3:
-                base_spec = ("file", toks[2])
-            else:
-                raise FileFormatError(
-                    f"bad base line {line!r}", path=path, line=lineno
-                )
-            continue
-        if toks[0] not in ("up1", "up1b", "up2") or len(toks) != 3:
+    if rows and rows[0][1][0] == "base":
+        lineno, toks = rows.pop(0)
+        if toks[1:2] == ["random"] and len(toks) == 6:
+            base_spec = ("random",) + ints(toks[2:], "integer", path, lineno)
+        elif toks[1:2] == ["file"] and len(toks) == 3:
+            base_spec = ("file", toks[2])
+        else:
             raise FileFormatError(
-                f"expected 'up1|up1b|up2 <k> <p>', got {line!r}",
+                f"bad base line {' '.join(toks)!r}", path=path, line=lineno
+            )
+    steps = []
+    for lineno, toks in rows:
+        if toks[0] == "base":
+            raise FileFormatError("base line must come first", path=path, line=lineno)
+        if toks[0] not in ("up1", "up1b", "up2", "lift") or len(toks) != 3:
+            raise FileFormatError(
+                f"expected 'up1|up1b|up2|lift <k> <p>', got {' '.join(toks)!r}",
                 path=path,
                 line=lineno,
             )
-        try:
-            k, p = int(toks[1]), int(toks[2])
-        except ValueError:
-            raise FileFormatError(
-                f"bad integers in {line!r}", path=path, line=lineno
-            ) from None
-        steps.append((toks[0], k, p))
+        steps.append((toks[0], *ints(toks[1:], "integer", path, lineno)))
     return base_spec, steps
 
 
@@ -671,40 +660,20 @@ def format_tabulated(c: TabulatedColouring) -> str:
 
 
 def parse_tabulated(text: str, path=None) -> TabulatedColouring:
-    lines = [l for l in text.splitlines()]
-    header = None
+    rows = records(text)
+    if not rows:
+        raise FileFormatError("empty colouring file", path=path)
+    headerline, head = rows[0]
+    if len(head) != 3:
+        raise FileFormatError("expected header 'k n q'", path=path, line=headerline)
+    k, n, q = ints(head, "header value", path, headerline)
     table = {}
-    colours = set()
-    headerline = 0
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
-        if header is None:
-            if len(toks) != 3:
-                raise FileFormatError(
-                    "expected header 'k n q'", path=path, line=lineno
-                )
-            try:
-                header = tuple(int(x) for x in toks)
-            except ValueError:
-                raise FileFormatError(
-                    f"bad header {line!r}", path=path, line=lineno
-                ) from None
-            headerline = lineno
-            continue
-        k, n = header[0], header[1]
+    for lineno, toks in rows[1:]:
         if len(toks) != k + 1:
             raise FileFormatError(
                 f"expected {k} vertices and a colour", path=path, line=lineno
             )
-        try:
-            e = tuple(sorted(int(x) for x in toks[:k]))
-        except ValueError:
-            raise FileFormatError(
-                f"bad vertex in {line!r}", path=path, line=lineno
-            ) from None
+        e = tuple(sorted(ints(toks[:k], "vertex", path, lineno)))
         if len(set(e)) != k or any(v < 1 or v > n for v in e):
             raise FileFormatError(
                 f"edge {e} is not a {k}-subset of 1..{n}", path=path, line=lineno
@@ -716,22 +685,21 @@ def parse_tabulated(text: str, path=None) -> TabulatedColouring:
         if e in table:
             raise FileFormatError(f"duplicate edge {e}", path=path, line=lineno)
         table[e] = col
-        colours.add(col)
-    if header is None:
-        raise FileFormatError("empty colouring file", path=path)
-    k, n, q = header
-    if len(colours) > q:
+    palette = sorted(set(table.values()))
+    if len(palette) > q:
         raise FileFormatError(
-            f"{len(colours)} distinct colours exceed declared budget {q}",
+            f"{len(palette)} distinct colours exceed declared budget {q}",
             path=path,
             line=headerline,
         )
-    palette = sorted(colours)
     if all(c[0] == "base" for c in palette):
         declared = [("base", i) for i in range(1, q + 1)]
         if set(palette) <= set(declared):
             palette = declared
-    return TabulatedColouring(k, n, table, palette, kind="tabulated")
+    try:
+        return TabulatedColouring(k, n, table, palette, kind="tabulated")
+    except ParameterError as exc:
+        raise FileFormatError(str(exc), path=path, line=headerline) from None
 
 
 # ---------------------------------------------------------------------------

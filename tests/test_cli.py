@@ -133,6 +133,32 @@ def test_malformed_file_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--colouring", str(table), "--t", "3", "--p", "2")
     assert code == 2
     assert "c.txt:3:" in err and "q7" in err
+    # one located line for each kind of file, comments and blank lines skipped
+    sched = ["stepup", "--schedule"]
+    verify = ["verify", "--t", "3", "--p", "2", "--colouring"]
+    degeneracy = ["hedgehog", "degeneracy", "--hypergraph"]
+    cases = [
+        (sched, "# no base\nbase\nup1 3 5\n", 2),
+        (sched, "base random a 5 3 1\n", 1),
+        (sched, "up1 3 5\n\nbase random 3 6 3 42\n", 3),
+        (verify, "# k n q\n0 3 1\n", 2),
+        (degeneracy, "3 4 2\n1 2 3\n3 2 1  # the same edge\n", 3),
+        (degeneracy, "3 4 2\n1 2 2\n1 2 3\n", 2),
+        (["pattern", "--seq-file"], "5 3 # first\n\n8 x 9\n", 3),
+    ]
+    for argv, text, line in cases:
+        bad.write_text(text)
+        code, out, err = run(capsys, *argv, str(bad))
+        assert code == 2 and not out, text
+        assert err.startswith(f"error: {bad}:{line}: ") and err.count("\n") == 1, err
+
+
+def test_incomplete_search_exits_2(monkeypatch, capsys):
+    # a search that ran out of attempts has verified nothing: exit 2, not 1
+    monkeypatch.setattr(cli.rainbow, "search_random_rainbow", lambda *a, **kw: None)
+    code, out, err = run(capsys, "preset", "--name", "cor-five-colours")
+    assert code == 2 and not out
+    assert err == "incomplete (base): random base not found\n"
 
 
 def test_extract_witness_validates(tmp_path, capsys):

@@ -26,6 +26,7 @@ INPUTS = {
     "up1-16.txt": "base random 3 4 3 11\nup1 3 5\n",
     "up1-256.txt": "base random 3 8 3 5\nup1 3 5\n",
     "up2-16.txt": "base random 2 4 6 1\nup2 2 2\n",
+    "up2-16-lift.txt": "base random 2 4 6 1\nup2 2 2\nlift 4 5\n",
     "up2-32.txt": "base random 3 5 3 8\nup2 3 4\n",
     "tower-up1.txt": "base random 2 4 3 9\nup2 2 2\nup1 4 3\n",
     "tower-up2.txt": "base random 2 4 3 9\nup2 2 2\nup2 4 5\n",
@@ -162,8 +163,7 @@ GOLDEN = [
 
 IDS = [g[0] for g in GOLDEN]
 
-# a schedule ending in a lift step: schedule files hold only doubling
-# steps, so the test lifts the colouring that --schedule builds, and the
+# the colouring that --schedule builds, lifted to uniformity 5: the
 # report's colouring spec records the lift as its last step
 LIFTED = ("verify --schedule up2-16.txt --t 7 --p 3", 1, {
     "json": "cb1cb418a434c67480022ec653797e78596c7c1d32c224a908bd77d1bffca67c",
@@ -223,6 +223,16 @@ def test_golden_lifted_verify(fmt, workdir, capsys, monkeypatch):
         cli, "_load_schedule_colouring", lambda args: lift_colouring(load(args), 5)
     )
     assert _digest(argv, fmt, capsys) == (code, digests[fmt])
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_golden_lifted_schedule(fmt, workdir, capsys):
+    # a schedule file ending in "lift 4 5" gives the same report, apart from
+    # the schedule path in its config
+    argv, code, digests = LIFTED
+    assert main(argv.replace("up2-16", "up2-16-lift").split() + ["--format", fmt]) == code
+    out = capsys.readouterr().out.replace("up2-16-lift.txt", "up2-16.txt")
+    assert hashlib.sha256(out.encode()).hexdigest() == digests[fmt]
 
 
 @pytest.mark.parametrize("instance, digest", ORACLE_TABLES.items(), ids=list(ORACLE_TABLES))

@@ -11,6 +11,7 @@ from ramseykit import hedgehog as hh
 from ramseykit import rainbow as rb
 from ramseykit import stepup as su
 from ramseykit.errors import (
+    FileFormatError,
     ParameterError,
     PreconditionError,
 )
@@ -355,3 +356,11 @@ def test_hypergraph_file_roundtrip():
     text = hh.format_hypergraph(h)
     back = hh.parse_hypergraph(text)
     assert back.edges == h.edges and back.r == 3
+    # comments and blank lines are skipped; the edges stay as they were
+    noted = text.replace("\n", "  # note\n\n", 2)
+    assert hh.parse_hypergraph("# burr-erdos n=4\n" + noted) == back
+    # an edge with a repeated vertex, and a duplicate edge in any order
+    for body, line in (("1 2 2\n1 2 3\n", 2), ("1 2 3\n3 2 1\n", 3),
+                       ("2 3 4\n4 2 3\n", 3)):
+        with pytest.raises(FileFormatError, match=f"^h.txt:{line}: "):
+            hh.parse_hypergraph("3 4 2\n" + body, path="h.txt")

@@ -293,14 +293,22 @@ def test_tower_infeasible_schedule_reports_step(base36, part35):
         su.tower_compose(base36, [("up2", 5, 2)])
     with pytest.raises(ParameterError, match="step 2 \\(up2\\)"):
         su.tower_compose(base36, [("up1", 3, 5), ("up2", 5, 2)])
+    # a lift step names the uniformity s it lifts from, and needs k > s
+    with pytest.raises(ParameterError, match="step 2 \\(lift\\)"):
+        su.tower_compose(base36, [("up1", 3, 5), ("lift", 3, 6)])
+    with pytest.raises(ParameterError, match="step 1 \\(lift\\): lifting needs k > s"):
+        su.tower_compose(base36, [("lift", 3, 3)])
 
 
 def test_schedule_parsing_roundtrip():
-    text = "base random 3 6 3 42\nup1 3 5\nup2 4 10\n"
+    text = "base random 3 6 3 42\nup1 3 5\nup2 4 10\nlift 8 9\n"
     spec, steps = su.parse_schedule(text)
     assert spec == ("random", 3, 6, 3, 42)
-    assert steps == [("up1", 3, 5), ("up2", 4, 10)]
+    assert steps == [("up1", 3, 5), ("up2", 4, 10), ("lift", 8, 9)]
     assert su.format_schedule(spec, steps) == text
+    assert su.parse_schedule("# tower\n\n" + text.replace("\n", " # step\n")) == (
+        spec, steps
+    )
     with pytest.raises(FileFormatError):
         su.parse_schedule("up1 3\n")
     with pytest.raises(FileFormatError):
