@@ -479,13 +479,13 @@ def cmd_preset(args):
 
 
 def _random_base(args, k, n, q, t, p):
-    """A (t;q,p)-rainbow random base of K_n^(k), or IncompleteSearchError."""
+    """A (t;q,p)-rainbow random base of K_n^(k) with its exhaustive report
+    and the attempts it took, or IncompleteSearchError."""
     got = rainbow.search_random_rainbow(k, n, q, t, p, max_attempts=300,
                                         seed=args.seed, budget=args.budget)
     if got is None:
         raise IncompleteSearchError("random base not found", stage="base")
-    base, _, attempts = got
-    return base, attempts
+    return got
 
 
 def _witness_stage(c, sets, sizes, seed):
@@ -520,7 +520,7 @@ def _preset_five_colours(args):
         "description": f"search a ({t};{q},{q})-rainbow colouring of the "
         f"3-subsets of 1..{n0}",
     }]
-    base, attempts = _random_base(args, 3, n0, q, t, 5)
+    base, _, attempts = _random_base(args, 3, n0, q, t, 5)
     stages[0]["attempts"] = attempts
     part = stepup.partition_patterns(3, 5)
     stepped = stepup.step_up_1(base, part)
@@ -544,7 +544,7 @@ def _preset_five_colours(args):
 def _preset_three_three(args):
     """Colour-preserving doubling keeps 3 colours while the uniformity grows."""
     q, t, n0 = 3, 6, 8
-    base, attempts = _random_base(args, 3, n0, q, t, 3)
+    base, _, attempts = _random_base(args, 3, n0, q, t, 3)
     part = stepup.partition_patterns(3, 5)
     stepped = stepup.step_up_1b(base, part)
     outcomes, examples = _witness_stage(stepped, args.samples, 40, args.seed)
@@ -563,10 +563,11 @@ def _preset_three_three(args):
 def _preset_hedgehog_lower(args):
     """Degenerate doubling schedule: lifting a pair colouring to triples."""
     q, t, n = 16, 4, 10
-    base, attempts = _random_base(args, 2, n, q, t, 4)
+    base, base_report, attempts = _random_base(args, 2, n, q, t, 4)
     lifted = hedgehog.lift_colouring(base, 3)
     spread = hedgehog.verify_hedgehog_spread(
-        lifted, t, 1, embeddings=args.samples, seed=args.seed
+        lifted, t, 1, base_report=base_report, embeddings=args.samples,
+        seed=args.seed,
     )
     stages = [
         {"stage": "random base", "attempts": attempts,
@@ -589,10 +590,10 @@ def _preset_hedgehog_lower(args):
 def _preset_lemma_k5_13(args):
     """Zero plus-one steps from uniformity 4, then lifting to uniformity 5."""
     q, t, n = 14, 6, 8
-    base, attempts = _random_base(args, 4, n, q, t, 6)
+    base, base_report, attempts = _random_base(args, 4, n, q, t, 6)
     lifted = hedgehog.lift_colouring(base, 5)
     spread = hedgehog.verify_hedgehog_spread(
-        lifted, t, 1, embeddings=0, seed=args.seed
+        lifted, t, 1, base_report=base_report, embeddings=0, seed=args.seed
     )
     stages = [
         {"stage": "random base", "attempts": attempts,

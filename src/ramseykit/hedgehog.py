@@ -524,11 +524,13 @@ def find_mono_hedgehog(
     """Constructive monochromatic balanced copy in a 2-coloured K_n^(2k+1).
 
     Stage 1 classifies (k+1)-sets as endangered for a colour when few
-    vertices pierce all their host edges of that colour; stage 2 colours
-    each vertex by the side for which few vertices pierce its endangered
-    sets (ties go to the first palette colour); stage 3 greedily finds a
-    body avoiding endangered sets of the majority side; stage 4 grows the
-    spine greedily, one fresh host edge per (k+1)-subset of the body.
+    vertices pierce all their host edges of that colour (at k = 1 these
+    are pair co-degrees, counted in one pass over the C(n,3) triples);
+    stage 2 colours each vertex by the side for which few vertices pierce
+    its endangered sets (ties go to the first palette colour); stage 3
+    greedily finds a body avoiding endangered sets of the majority side;
+    stage 4 grows the spine greedily, one fresh host edge per
+    (k+1)-subset of the body.
     The thresholds are guaranteed to work out only for universes of size
     t^(k+3) and beyond with t large; every one of them is checked at
     runtime and failures are reported with the failing stage.
@@ -633,23 +635,24 @@ def find_mono_hedgehog(
 
 def _pair_danger(colouring, n, thr, c1, c2):
     """Endangered pairs at uniformity 3: the piercing number of a pair in
-    one colour's host edges is its co-degree in that colour."""
-    colour = colouring.colour
+    one colour's host edges is its co-degree in that colour.
+
+    The co-degrees come from one pass over the C(n,3) triples, each
+    coloured once (sorted and in range by construction, so unchecked); a
+    pair's co-degree in c2 is n - 2 minus its co-degree in c1."""
+    colour = colouring._colour
+    deg1 = dict.fromkeys(itertools.combinations(range(1, n + 1), 2), 0)
+    for e in itertools.combinations(range(1, n + 1), 3):
+        if colour(e) == c1:
+            a, b, c = e
+            deg1[a, b] += 1
+            deg1[a, c] += 1
+            deg1[b, c] += 1
     danger = {}
-    for e in itertools.combinations(range(1, n + 1), 2):
-        a, b = e
-        n1 = 0
-        n2 = 0
-        for w in range(1, n + 1):
-            if w == a or w == b:
-                continue
-            if colour((a, b, w)) == c1:
-                n1 += 1
-            else:
-                n2 += 1
+    for e, n1 in deg1.items():
         if n1 < thr:
             danger[e] = c1
-        elif n2 < thr:
+        elif n - 2 - n1 < thr:
             danger[e] = c2
     return danger
 

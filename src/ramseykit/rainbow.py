@@ -74,7 +74,8 @@ def verify_rainbow(
     table, and any other colouring memoizes edge colours.  Sets are visited
     in the same order either way, and the report does not depend on how
     spans are computed.  Sampling needs t <= n; exhaustively, t > n passes
-    with no set checked.
+    with no set checked, and the budget is charged ``colouring.span_cost``
+    per set: C(t, k) edge evaluations, or one lookup for a stepped colouring.
 
     ``workers`` must be at least 1 and is capped at the CPU count.
     ``workers > 1`` splits an exhaustive enumeration across processes by
@@ -91,11 +92,12 @@ def verify_rainbow(
     if workers < 1:
         raise ParameterError(f"workers = {workers}, must be at least 1")
     if mode == "exhaustive":
-        work = math.comb(n, t) * math.comb(t, k)
+        per_set, unit = colouring.span_cost(t)
+        work = math.comb(n, t) * per_set
         if work > budget:
             raise BudgetExceededError(
-                f"exhaustive verification needs about {work} edge "
-                f"evaluations, budget is {budget}; use sampled mode",
+                f"exhaustive verification needs about {work} {unit}, "
+                f"budget is {budget}; use sampled mode",
                 estimate=work,
                 budget=budget,
             )

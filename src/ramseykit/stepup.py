@@ -196,6 +196,10 @@ class Colouring:
             seen.add(c)
         return seen
 
+    def span_cost(self, t: int) -> tuple[int, str]:
+        """Work that :meth:`span` does for one t-set, and its unit."""
+        return math.comb(t, self.uniformity), "edge evaluations"
+
     def palette(self) -> tuple:
         """Declared colour space, canonically ordered; reachable colours
         are always a subset."""
@@ -403,6 +407,9 @@ class _Stepped(Colouring):
             keys = {g(top) for g in _edge_delta_getters(t, self.uniformity)}
             got = self._span_memo[ds] = frozenset(map(self.colour_of_deltas, keys))
         return got
+
+    def span_cost(self, t: int) -> tuple[int, str]:
+        return 1, "set lookups"
 
 
 class SteppedPlusOne(_Stepped):

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from ramseykit import cli
+from ramseykit import cli, rainbow
 from ramseykit.cli import main
 
 
@@ -394,7 +394,17 @@ def test_exported_colouring_reverifies(tmp_path, capsys):
     assert code == 0
 
 
-def test_preset_runs(capsys):
+def test_preset_runs(capsys, monkeypatch):
+    # the spread stage reuses the base search's report: one exhaustive
+    # verify per attempt and none after
+    calls = []
+    verify = rainbow.verify_rainbow
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(rainbow, "verify_rainbow", counting)
     code, out, _ = run(
         capsys, "preset", "--name", "hedgehog-lower", "--seed", "2024",
         "--samples", "5", "--format", "json",
@@ -403,7 +413,9 @@ def test_preset_runs(capsys):
     doc = json.loads(out)
     stages = doc["stages"]
     assert stages[-1]["passed"] is True
+    assert len(calls) == int(stages[0]["attempts"])
 
+    calls.clear()
     code, out, _ = run(
         capsys, "preset", "--name", "lemma-k5-13", "--seed", "2024",
         "--samples", "5", "--format", "json",
@@ -412,6 +424,7 @@ def test_preset_runs(capsys):
     doc = json.loads(out)
     assert doc["stages"][1]["count"] == "0"
     assert doc["stages"][-1]["passed"] is True
+    assert len(calls) == int(doc["stages"][0]["attempts"])
 
     code, _, err = run(capsys, "preset", "--name", "nope")
     assert code == 2

@@ -3,20 +3,29 @@ byte-identical across refactors.  Each entry holds the sha256 of the report
 that ``main`` writes to stdout with ``--format json`` and with
 ``--format text``; the JSON encoder sorts keys, so only the text digest
 sees the order of a report's fields.  Every run happens in a directory
-holding the input files below, the hypergraph exported by
-``burr-erdos --n 12``, the ``gen-sk --k 3`` sequence and one witness file
-of each kind the CLI writes (relative paths keep the embedded config
+holding the input files below (one of them the 27-vertex part colouring),
+the hypergraph exported by ``burr-erdos --n 12``, the ``gen-sk --k 3``
+sequence and one witness file of each kind the CLI writes (relative paths keep the embedded config
 stable).  The exact oracle's exported witness tables are pinned by sha256
 too, since its report alone does not show the witness."""
 
 import hashlib
+import itertools
 from pathlib import Path
 
 import pytest
 
 from ramseykit import cli
 from ramseykit.cli import main
-from ramseykit.hedgehog import lift_colouring
+from ramseykit.hedgehog import RED, BLUE, lift_colouring
+from ramseykit.stepup import TabulatedColouring, format_tabulated
+
+# three parts of 9 vertices: blue on the triples that meet exactly two
+# parts, red on the rest, so find-mono's body steers round endangered pairs
+PARTS27 = format_tabulated(TabulatedColouring(3, 27, {
+    e: BLUE if len({(v - 1) // 9 for v in e}) == 2 else RED
+    for e in itertools.combinations(range(1, 28), 3)
+}, [RED, BLUE]))
 
 INPUTS = {
     "up1.txt": "base random 3 6 3 42\nup1 3 5\n",
@@ -30,6 +39,7 @@ INPUTS = {
     "up2-32.txt": "base random 3 5 3 8\nup2 3 4\n",
     "tower-up1.txt": "base random 2 4 3 9\nup2 2 2\nup1 4 3\n",
     "tower-up2.txt": "base random 2 4 3 9\nup2 2 2\nup2 4 5\n",
+    "parts27.txt": PARTS27,
 }
 
 # witness files the fixture writes, each with the command that writes it
@@ -105,6 +115,9 @@ GOLDEN = [
     ("hedgehog find-mono --random-base 3 81 2 5 --t 3", 0,
      "e7b753938d81505ea36f471a0321c7604760bb64ddd5b9460d4c12a7d4701399",
      "a2005b0b35a2071bac54cb1e01d40fad570aec7b3d5ada658b1474d5f0a22219"),
+    ("hedgehog find-mono --colouring parts27.txt --t 3", 0,
+     "294df0b5bd71653450197dff610d32bce581d86df09cbe28927a7a79e3cdf6ef",
+     "4a42702d53333964455a8d08098cbded715b6e303957b0b016fb80e7b94f5251"),
     ("hedgehog piercing --hypergraph h12.txt --subset 1,13", 0,
      "aa1c46ab3d71539393d3333aebc90eb25c04a24ee1ba9eddb5766f1089f1b40f",
      "d95e3a9693d0d0e4903448d3e81e8b355ed56b46df795bad644a3d699cf10146"),

@@ -234,13 +234,47 @@ def test_spread_vacuous_when_body_below_uniformity():
 
 # --- monochromatic copies ----------------------------------------------------------
 
-def part_colouring(n, parts):
+def part_colouring(n, parts, swap=False):
+    """Red on the triples meeting exactly two parts, blue elsewhere (the
+    other way round with ``swap``)."""
     size = n // parts
+    two, other = (hh.BLUE, hh.RED) if swap else (hh.RED, hh.BLUE)
     table = {}
     for e in itertools.combinations(range(1, n + 1), 3):
         ps = {(v - 1) // size for v in e}
-        table[e] = ("base", 1) if len(ps) == 2 else ("base", 2)
-    return su.TabulatedColouring(3, n, table, [("base", 1), ("base", 2)])
+        table[e] = two if len(ps) == 2 else other
+    return su.TabulatedColouring(3, n, table, [hh.RED, hh.BLUE])
+
+
+class PartRule(su.Colouring):
+    """The part rule computed per edge rather than read from a table, with
+    a short last part when ``size`` does not divide n."""
+
+    def __init__(self, n, size):
+        super().__init__(3, n)
+        self.size = size
+
+    def _colour(self, e):
+        return hh.RED if len({(v - 1) // self.size for v in e}) == 2 else hh.BLUE
+
+    def _palette(self):
+        return (hh.RED, hh.BLUE)
+
+
+class CountingTable(su.TabulatedColouring):
+    """A tabulated colouring that counts its checked and unchecked calls."""
+
+    def __init__(self, base):
+        super().__init__(3, base.num_vertices, base.table, base.palette())
+        self.calls = {"colour": 0, "_colour": 0}
+
+    def colour(self, edge):
+        self.calls["colour"] += 1
+        return super().colour(edge)
+
+    def _colour(self, e):
+        self.calls["_colour"] += 1
+        return super()._colour(e)
 
 
 def test_find_mono_on_random_colourings():
@@ -286,16 +320,32 @@ def test_find_mono_bigger_body():
 
 def test_pair_danger_matches_general_danger():
     # the k=1 fast path against the hitting-set path it shortcuts, with
-    # thresholds below, at and above the mean co-degree (n-2)/2
-    for n in (12, 20):
+    # thresholds below, at and above the mean co-degree (n-2)/2, on random
+    # colourings, and on part colourings with red and blue both ways round
+    # and an untabulated part rule, whose danger maps are not empty
+    colourings = [su.random_colouring(3, n, 2, seed=seed)
+                  for n in (12, 20) for seed in range(4)]
+    colourings += [part_colouring(27, parts, swap)
+                   for parts in (3, 9) for swap in (False, True)]
+    colourings.append(PartRule(23, 5))
+    for c in colourings:
+        n = c.num_vertices
         mean = (n - 2) // 2
-        for seed in range(4):
-            c = su.random_colouring(3, n, 2, seed=seed)
-            c1, c2 = c.palette()
-            for thr in (mean - 2, mean, mean + 2):
-                fast = hh._pair_danger(c, n, thr, c1, c2)
-                slow = hh._general_danger(c, n, 1, thr, c1, c2, hh.DEFAULT_BUDGET)
-                assert fast == slow
+        c1, c2 = c.palette()
+        for thr in (mean - 2, mean, mean + 2):
+            fast = hh._pair_danger(c, n, thr, c1, c2)
+            slow = hh._general_danger(c, n, 1, thr, c1, c2, hh.DEFAULT_BUDGET)
+            assert list(fast.items()) == list(slow.items())
+            assert fast or c.kind == "random-seeded"
+
+
+def test_pair_danger_colours_each_triple_once():
+    # one unchecked colour per host triple, and none through the checked path
+    n = 20
+    c = CountingTable(su.random_colouring(3, n, 2, seed=3))
+    c1, c2 = c.palette()
+    hh._pair_danger(c, n, (n - 2) // 2, c1, c2)
+    assert c.calls == {"colour": 0, "_colour": math.comb(n, 3)}
 
 
 # --- the two-part host ---------------------------------------------------------------

@@ -127,6 +127,18 @@ def test_stepped_verify_matches_edge_by_edge_scan(schedule, t, p, passed):
         assert count < math.comb(c.num_vertices, t)  # a partial histogram
 
 
+def test_stepped_verify_budget_counts_sets():
+    # a stepped span is one memo lookup per set, so the exhaustive budget
+    # counts the C(16,6) = 8,008 sets, not their 15 edges each
+    c = stepped(3, 4, 3, 11, [("up1", 3, 5)])
+    assert rb.verify_rainbow(c, 6, 3, budget=10_000).sets_checked == 8008
+    with pytest.raises(BudgetExceededError, match="8008 set lookups"):
+        rb.verify_rainbow(c, 6, 3, budget=8007)
+    # other kinds still charge every edge of every set
+    with pytest.raises(BudgetExceededError, match="120120 edge evaluations"):
+        rb.verify_rainbow(su.random_colouring(4, 16, 3, seed=0), 6, 3, budget=10_000)
+
+
 def test_stepped_parallel_verify_matches_serial():
     for seed, t, p in ((11, 6, 3), (12, 7, 4)):
         c = stepped(3, 4, 3, seed, [("up1", 3, 5)])
