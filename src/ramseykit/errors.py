@@ -84,4 +84,22 @@ def ints(tokens, what, path, line):
     return tuple(out)
 
 
+# Parsers build objects of the sizes a file header declares (a palette of q
+# colours, nv vertices, a table of C(n, k) edges), so a few-byte header could
+# otherwise ask for gigabytes.
+MAX_DECLARED = 10**5
+
+
+def check_declared(path, line, **sizes):
+    """Refuse a header size above MAX_DECLARED with FileFormatError at
+    ``path:line``, before anything of that size is built."""
+    for name, value in sizes.items():
+        if value > MAX_DECLARED:
+            raise FileFormatError(
+                f"header declares {name} = {value}, above the limit {MAX_DECLARED}",
+                path=path,
+                line=line,
+            )
+
+
 DEFAULT_BUDGET = 10**9

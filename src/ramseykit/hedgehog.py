@@ -23,6 +23,7 @@ from .errors import (
     ParameterError,
     PreconditionError,
     IncompleteSearchError,
+    check_declared,
     ints,
     records,
 )
@@ -886,6 +887,7 @@ def parse_hypergraph(text: str, path=None) -> Hypergraph:
     if len(head) != 3:
         raise FileFormatError("expected header 'r |V| |E|'", path=path, line=headerline)
     r, nv, ne = ints(head, "header value", path, headerline)
+    check_declared(path, headerline, nv=nv)
     edges = {}  # sorted edge -> its line
     for lineno, toks in rows[1:]:
         e = tuple(sorted(ints(toks, "vertex", path, lineno)))

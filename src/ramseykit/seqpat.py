@@ -106,27 +106,6 @@ def subsequence(s, ix) -> tuple[int, ...]:
     return tuple(s[i - 1] for i in _as_indices(ix, len(s)))
 
 
-class _GapMax:
-    """Lazy table of interval maxima ``max(s[a..b])`` (0-based, inclusive)."""
-
-    def __init__(self, s):
-        self._s = s
-        self._rows: dict[int, list[int]] = {}
-
-    def max(self, a: int, b: int) -> int:
-        row = self._rows.get(a)
-        if row is None:
-            s = self._s
-            row = [s[a]]
-            m = s[a]
-            for j in range(a + 1, len(s)):
-                if s[j] > m:
-                    m = s[j]
-                row.append(m)
-            self._rows[a] = row
-        return row[b - a]
-
-
 def _order_matches(a: int, b: int, x: int, y: int) -> bool:
     return (a < b) == (x < y) and (a == b) == (x == y)
 
@@ -179,10 +158,9 @@ def _search_indices(s, p, *, max_induced: bool, separated: bool):
     n, t = len(s), len(p)
     if t > n:
         return None
-    gm = _GapMax(s) if max_induced else None
     chosen: list[int] = []
 
-    def compatible(i: int) -> bool:
+    def compatible(i: int, gap: int) -> bool:
         d = len(chosen)
         for j, c in enumerate(chosen):
             if not _order_matches(s[c], s[i], p[j], p[d]):
@@ -191,7 +169,7 @@ def _search_indices(s, p, *, max_induced: bool, separated: bool):
             c = chosen[-1]
             if separated and i <= c + 1:
                 return False
-            if max_induced and gm.max(c, i) > max(s[c], s[i]):
+            if max_induced and gap > max(s[c], s[i]):
                 return False
         return True
 
@@ -199,8 +177,12 @@ def _search_indices(s, p, *, max_induced: bool, separated: bool):
         d = len(chosen)
         if d == t:
             return True
+        # the loop starts right after chosen[-1]: gap = max(s[chosen[-1]..i])
+        gap = s[start - 1] if chosen else 0
         for i in range(start, n - (t - d) + 1):
-            if compatible(i):
+            if s[i] > gap:
+                gap = s[i]
+            if compatible(i, gap):
                 chosen.append(i)
                 if dfs(i + 1):
                     return True
@@ -222,45 +204,65 @@ def is_homogeneous(s) -> bool:
 def longest_homogeneous_max_induced(s):
     """Exact longest homogeneous max-induced subsequence of ``s``.
 
-    Returns ``(length, index set)``.  Because both the monotonicity and the
-    endpoint-maximum condition only constrain consecutive chosen indices,
-    a longest-chain dynamic program over "last chosen index" is exact; no
-    subset enumeration is needed at any length.  Among all witnesses of
-    maximal length the lexicographically least index set is returned.
+    Returns ``(length, index set)``; among all witnesses of maximal length
+    the lexicographically least index set is returned, the non-decreasing
+    one on a tie between the two directions.
+
+    Both conditions constrain only consecutive chosen indices, so a witness
+    is a chain of pairs ``i < j`` that may follow each other:
+
+    * non-decreasing: ``j`` may follow ``i`` iff ``s[j] >= max(s[i..j])``,
+      i.e. ``j`` is a weak left-to-right record of ``s[i:]``.  The records
+      of ``s[i:]`` form a chain and every chain from ``i`` lies inside them,
+      so the longest chain from ``i`` is ``1 +`` the one from the next
+      ``j > i`` with ``s[j] >= s[i]``;
+    * non-increasing: ``j`` may follow ``i`` iff ``s[i] >= max(s[i..j])``,
+      i.e. ``i < j <`` the next strictly greater position.  A right-to-left
+      monotone stack pops exactly the chain heads that tile that interval,
+      each already the longest chain within its own tile.
+
+    One stack pass per direction fills the chain lengths ``f`` and a greedy
+    pass picks, at each step, the least position with the needed length
+    that may follow the previous pick.  Time and memory are O(n).
     """
     s = tuple(s)
     n = len(s)
     if n == 0:
         raise ParameterError("sequence must be non-empty")
-    gm = _GapMax(s)
     best: tuple[int, tuple[int, ...]] | None = None
 
     for nondecreasing in (True, False):
-
-        def chainable(i: int, j: int) -> bool:
-            if nondecreasing:
-                return s[i] <= s[j] and gm.max(i, j) <= s[j]
-            return s[i] >= s[j] and gm.max(i, j) <= s[i]
-
         # f[i] = longest valid chain starting at i
         f = [1] * n
-        for i in range(n - 2, -1, -1):
-            fi = 1
-            for j in range(i + 1, n):
-                if f[j] + 1 > fi and chainable(i, j):
-                    fi = f[j] + 1
-            f[i] = fi
+        stack: list[int] = []
+        for i in range(n - 1, -1, -1):
+            v = s[i]
+            if nondecreasing:
+                while stack and s[stack[-1]] < v:
+                    stack.pop()
+                if stack:
+                    f[i] = f[stack[-1]] + 1
+            else:
+                tile = 0
+                while stack and s[stack[-1]] <= v:
+                    tile = max(tile, f[stack.pop()])
+                f[i] = tile + 1
+            stack.append(i)
         length = max(f)
         witness: list[int] = []
-        need = length
         prev = -1
-        while need:
+        for need in range(length, 0, -1):
+            top = s[prev] if prev >= 0 else 0  # max(s[prev..i]) as i runs
             for i in range(prev + 1, n):
-                if f[i] == need and (prev < 0 or chainable(prev, i)):
+                v = s[i]
+                if v > top:
+                    top = v
+                if f[i] == need and (
+                    prev < 0 or top <= (v if nondecreasing else s[prev])
+                ):
                     witness.append(i)
                     prev = i
                     break
-            need -= 1
         cand = (length, tuple(i + 1 for i in witness))
         if best is None or cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
             best = cand

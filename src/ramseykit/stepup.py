@@ -34,7 +34,7 @@ import random
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .errors import FileFormatError, ParameterError, ints, records
+from .errors import MAX_DECLARED, FileFormatError, ParameterError, check_declared, ints, records
 from . import delta, seqpat
 
 __all__ = [
@@ -219,6 +219,19 @@ class Colouring:
         return {"kind": self.kind, "edge": e, "colour": colour_str(self._colour(e))}
 
 
+def _comb_upto(n: int, k: int, cap: int) -> int:
+    """``C(n, k)`` for ``0 <= k <= n`` when it is at most ``cap``, else
+    ``cap + 1``.  The running product ``C(n - r + i, i)`` grows with ``i``,
+    so it stops before forming a number much above ``cap``."""
+    r = min(k, n - k)
+    c = 1
+    for i in range(1, r + 1):
+        c = c * (n - r + i) // i
+        if c > cap:
+            return cap + 1
+    return c
+
+
 class TabulatedColouring(Colouring):
     """Colouring stored as an explicit edge table."""
 
@@ -228,10 +241,12 @@ class TabulatedColouring(Colouring):
         self._colours = tuple(colours)
         self.kind = kind
         self.seed = seed
-        expected = math.comb(num_vertices, uniformity)
+        cap = max(len(self.table), MAX_DECLARED)
+        expected = _comb_upto(num_vertices, uniformity, cap)
         if len(self.table) != expected:
             raise ParameterError(
-                f"table has {len(self.table)} edges, expected {expected}"
+                f"table has {len(self.table)} edges, expected "
+                + (f"{expected}" if expected <= cap else f"more than {cap}")
             )
 
     def _colour(self, e):
@@ -674,6 +689,7 @@ def parse_tabulated(text: str, path=None) -> TabulatedColouring:
     if len(head) != 3:
         raise FileFormatError("expected header 'k n q'", path=path, line=headerline)
     k, n, q = ints(head, "header value", path, headerline)
+    check_declared(path, headerline, k=k, n=n, q=q)
     table = {}
     for lineno, toks in rows[1:]:
         if len(toks) != k + 1:

@@ -142,6 +142,8 @@ def test_malformed_file_exit_2(tmp_path, capsys):
         (sched, "base random a 5 3 1\n", 1),
         (sched, "up1 3 5\n\nbase random 3 6 3 42\n", 3),
         (verify, "# k n q\n0 3 1\n", 2),
+        (verify, "# k n q\n2 3 1000000000\n", 2),
+        (degeneracy, "3 1000000000 0\n", 1),
         (degeneracy, "3 4 2\n1 2 3\n3 2 1  # the same edge\n", 3),
         (degeneracy, "3 4 2\n1 2 2\n1 2 3\n", 2),
         (["pattern", "--seq-file"], "5 3 # first\n\n8 x 9\n", 3),

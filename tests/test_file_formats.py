@@ -2,16 +2,19 @@
 FileFormatError, on arbitrary text and on valid files with one token or one
 line dropped, duplicated or replaced.  Replacement tokens are at most five
 characters long, so no header declares more than 99,999 colours, vertices
-or edges."""
+or edges; headers above ``MAX_DECLARED`` are refused at their line."""
 
 import argparse
 import contextlib
 import io
+import tracemalloc
+
+import pytest
 
 from hypothesis import example, given, settings, strategies as st
 
 from ramseykit import cli, delta, hedgehog, stepup
-from ramseykit.errors import FileFormatError
+from ramseykit.errors import MAX_DECLARED, FileFormatError
 
 
 def _pattern_seq_file(text, path):
@@ -93,6 +96,10 @@ def test_sequence_file_spans_lines(tmp_path):
 @example("tabulated", "0 3 1\n")
 @example("tabulated", "2 3 1\n1 2 b²\n")
 @example("hypergraph", "3 4 2\n1 2 3\n3 2 1\n")
+@example("tabulated", "2 3 1000000000\n")
+@example("tabulated", "999999999 1000000000 2\n")
+@example("tabulated", "50000 100000 2\n")
+@example("hypergraph", "3 1000000000 0\n")
 @given(st.sampled_from(sorted(VALID)), st.text())
 def test_arbitrary_text_parses_or_fails_located(tmp_path_factory, kind, text):
     _parse(kind, text, tmp_path_factory)
@@ -109,3 +116,31 @@ def test_arbitrary_text_parses_or_fails_located(tmp_path_factory, kind, text):
 def test_mutated_file_parses_or_fails_located(tmp_path_factory, kind, unit, op,
                                                index, new):
     _parse(kind, _mutate(VALID[kind][1], unit, op, index, new), tmp_path_factory)
+
+
+@pytest.mark.parametrize("kind, header, name", [
+    ("tabulated", "2 3 1000000000", "q"),
+    ("tabulated", "3 1000000000 2", "n"),
+    ("tabulated", "999999999 1000000000 2", "k"),
+    ("hypergraph", "3 1000000000 0", "nv"),
+])
+def test_oversized_header_refused_at_its_line(tmp_path, kind, header, name):
+    path = tmp_path / "in.txt"
+    tracemalloc.start()
+    try:
+        with pytest.raises(FileFormatError) as exc:
+            VALID[kind][0](f"# header\n{header}\n", path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value).startswith(f"{path}:2: header declares {name} = ")
+    assert str(exc.value).endswith(f"above the limit {MAX_DECLARED}")
+    assert peak < 10**6
+
+
+def test_edge_count_checked_without_the_full_binomial():
+    # C(10^5, 5*10^4) has about 30,000 digits; the check stops past the cap
+    with pytest.raises(FileFormatError, match=r":1: table has 0 edges, expected more than"):
+        stepup.parse_tabulated("50000 100000 2\n", "in.txt")
+    with pytest.raises(FileFormatError, match=r":1: table has 1 edges, expected 6$"):
+        stepup.parse_tabulated("2 4 3\n1 2 b1\n", "in.txt")

@@ -52,6 +52,51 @@ def oracle_longest_homogeneous_max_induced(s):
     return best
 
 
+def reference_longest_homogeneous_dp(s):
+    """The quadratic longest-chain DP over "last chosen index" that the
+    library ran before its linear stack pass, as a differential reference:
+    the same ``(length, lexicographically least witness)`` is expected."""
+    s = tuple(s)
+    n = len(s)
+    rows = {}
+
+    def gap_max(a, b):  # max(s[a..b]) from one lazily filled row per a
+        if a not in rows:
+            rows[a] = list(itertools.accumulate(s[a:], max))
+        return rows[a][b - a]
+
+    best = None
+    for nondecreasing in (True, False):
+
+        def chainable(i, j):
+            if nondecreasing:
+                return s[i] <= s[j] and gap_max(i, j) <= s[j]
+            return s[i] >= s[j] and gap_max(i, j) <= s[i]
+
+        f = [1] * n
+        for i in range(n - 2, -1, -1):
+            fi = 1
+            for j in range(i + 1, n):
+                if f[j] + 1 > fi and chainable(i, j):
+                    fi = f[j] + 1
+            f[i] = fi
+        length = max(f)
+        witness = []
+        need = length
+        prev = -1
+        while need:
+            for i in range(prev + 1, n):
+                if f[i] == need and (prev < 0 or chainable(prev, i)):
+                    witness.append(i)
+                    prev = i
+                    break
+            need -= 1
+        cand = (length, tuple(i + 1 for i in witness))
+        if best is None or cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
+            best = cand
+    return best
+
+
 def catalan(k):
     c = [1] + [0] * k
     for i in range(1, k + 1):
@@ -143,6 +188,38 @@ def test_longest_homogeneous_matches_subset_enumeration(s):
     vals = sp.subsequence(s, witness)
     assert sp.is_homogeneous(vals)
     assert sp.is_max_induced(s, witness)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=60))
+def test_longest_homogeneous_matches_quadratic_dp_with_ties(s):
+    s = tuple(s)
+    assert sp.longest_homogeneous_max_induced(s) == reference_longest_homogeneous_dp(s)
+
+
+def _ruler(start, length):
+    return [(i ^ (i + 1)).bit_length() for i in range(start, start + length)]
+
+
+def _vertex_deltas(rng, width, count):
+    vs = sorted(rng.sample(range(1 << width), count))
+    return [(a ^ b).bit_length() for a, b in zip(vs, vs[1:])]
+
+
+def test_longest_homogeneous_matches_quadratic_dp_on_structured_sequences():
+    rng = random.Random(10)
+    seqs = [sp.gen_sk(k) for k in range(1, 8)]
+    seqs += [_ruler(rng.randrange(1 << 20), 1000), _vertex_deltas(rng, 14, 1001)]
+    for s in seqs:
+        assert sp.longest_homogeneous_max_induced(s) == reference_longest_homogeneous_dp(s)
+
+
+def test_longest_homogeneous_witness_on_a_long_sequence():
+    rng = random.Random(11)
+    s = [rng.randrange(1000) for _ in range(10**5)]
+    length, witness = sp.longest_homogeneous_max_induced(s)
+    assert length == len(witness) >= 2
+    assert sp.check_sequence_witness(s, "homogeneous", witness, (2, 1), (1, 2)) is None
 
 
 # --- interval properties ----------------------------------------------------
