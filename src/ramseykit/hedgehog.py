@@ -11,6 +11,8 @@ per line.  Embedding witnesses serialize as JSON
 
 from __future__ import annotations
 
+import collections
+import heapq
 import itertools
 import math
 import random
@@ -134,29 +136,50 @@ def build_hedgehog(t: int, k: int, s: int) -> Hedgehog:
 # Degeneracy by peeling
 # ---------------------------------------------------------------------------
 
+def _incidence_lists(h: Hypergraph) -> dict[int, list[int]]:
+    """Indices into ``h.edges`` of the edges at each vertex."""
+    incident = {v: [] for v in h.vertices}
+    for i, e in enumerate(h.edges):
+        for v in e:
+            incident[v].append(i)
+    return incident
+
+
 def peel_trace(h: Hypergraph) -> list[tuple[int, int]]:
     """Remove a minimum-incidence vertex (smallest label on ties) until no
     vertices remain; return the (vertex, incidence-at-removal) trace.
 
-    The maximum incidence along the trace is the degeneracy.
+    The maximum incidence along the trace is the degeneracy.  A bucket
+    queue keyed on incidence, each bucket a heap of labels, finds the next
+    vertex; an entry is stale once its vertex is gone or its incidence has
+    dropped, and a vertex enters each bucket at most once, so the peel
+    takes O((V + rE) log V) time.
     """
-    alive_edges = set(h.edges)
-    deg = {v: 0 for v in h.vertices}
-    for e in h.edges:
-        for v in e:
-            deg[v] += 1
-    alive = set(h.vertices)
+    incident = _incidence_lists(h)
+    deg = {v: len(es) for v, es in incident.items()}
+    buckets = [[] for _ in range(max(deg.values(), default=0) + 1)]
+    for v in sorted(deg):  # sorted lists are heaps
+        buckets[deg[v]].append(v)
+    dead = [False] * len(h.edges)
     trace = []
-    while alive:
-        v = min(alive, key=lambda u: (deg[u], u))
-        trace.append((v, deg[v]))
-        alive.remove(v)
-        dead = [e for e in alive_edges if v in e]
-        for e in dead:
-            alive_edges.remove(e)
-            for u in e:
-                if u in alive:
+    d = 0
+    while len(trace) < len(deg):
+        while not buckets[d]:
+            d += 1
+        v = heapq.heappop(buckets[d])
+        if deg[v] != d:
+            continue  # stale: removed (-1) or moved to a lower bucket
+        trace.append((v, d))
+        deg[v] = -1
+        for i in incident[v]:
+            if dead[i]:
+                continue
+            dead[i] = True
+            for u in h.edges[i]:
+                if deg[u] > 0:
                     deg[u] -= 1
+                    heapq.heappush(buckets[deg[u]], u)
+                    d = min(d, deg[u])
     return trace
 
 
@@ -172,13 +195,14 @@ def peel_incidences(h: Hypergraph, order) -> list[tuple[int, int]]:
     order = list(order)
     if sorted(order) != sorted(h.vertices):
         raise ParameterError("order must list every vertex exactly once")
-    alive_edges = set(h.edges)
+    incident = _incidence_lists(h)
+    dead = [False] * len(h.edges)
     out = []
     for v in order:
-        inc = [e for e in alive_edges if v in e]
+        inc = [i for i in incident[v] if not dead[i]]
         out.append((v, len(inc)))
-        for e in inc:
-            alive_edges.remove(e)
+        for i in inc:
+            dead[i] = True
     return out
 
 
@@ -267,12 +291,13 @@ def _min_hitting_set(sets, budget: int) -> PiercingResult:
             return
         if len(chosen) + 1 > best_size:
             return
-        # branch on the smallest uncovered set
-        pivot = min(uncovered, key=lambda s: (len(s), sorted(s)))
-        for v in sorted(pivot):
-            dfs([s for s in uncovered if v not in s], chosen + [v])
+        # branch on the smallest uncovered set: filtering keeps the
+        # (size, sorted members) order, so it is the first one
+        for v in uncovered[0][0]:
+            dfs([p for p in uncovered if v not in p[1]], chosen + [v])
 
-    dfs(sets, [])
+    keyed = ((tuple(sorted(s)), s) for s in sets)
+    dfs(sorted(keyed, key=lambda p: (len(p[0]), p[0])), [])
     if exhausted:
         # lower bound: a maximal collection of pairwise disjoint sets
         lower = 0
@@ -800,44 +825,106 @@ class BurrErdosHost(Colouring):
     def _palette(self):
         return [RED, BLUE]
 
+    def classes(self, t: int):
+        """Yield ``(least member, count)`` for the t-subsets of the universe,
+        one class per part profile: a partition of t into at most
+        ``num_parts`` blocks of at most ``part_size`` each, the sizes of
+        its nonempty parts.
+
+        A class of block sizes a_1 >= ... >= a_r holds
+        ``perm(P, r) / prod(mult!) * prod(C(S, a_i))`` sets, where P is the
+        number of parts, S their size and mult the multiplicity of each
+        block size; the counts sum to C(N, t).  The least member puts the
+        blocks, largest first, at the lowest labels of parts 1, 2, ....
+        Classes come in increasing order of their least member.
+        """
+        size, parts = self.part_size, self.num_parts
+
+        def partitions(rest, most, blocks):
+            if rest == 0:
+                yield ()
+            elif blocks:
+                for a in range(min(rest, most), 0, -1):
+                    for tail in partitions(rest - a, a, blocks - 1):
+                        yield (a,) + tail
+
+        for blocks in partitions(t, size, parts):
+            least = tuple(
+                i * size + j for i, a in enumerate(blocks) for j in range(1, a + 1)
+            )
+            count = math.perm(parts, len(blocks))
+            for a in blocks:
+                count *= math.comb(size, a)
+            for mult in collections.Counter(blocks).values():
+                count //= math.factorial(mult)
+            yield least, count
+
+    def _has_blue(self, s5) -> bool:
+        """Whether a sorted 5-set holds a blue triple.  Five vertices either
+        put three in one part or meet three parts, so its part profile
+        names the candidate triples; each is re-coloured through
+        :meth:`colour`, never assumed blue."""
+        parts = {}
+        for v in s5:
+            parts.setdefault(self.part_of(v), []).append(v)
+        groups = list(parts.values())
+        for g in groups:
+            if len(g) >= 3 and self.colour(g[:3]) == BLUE:
+                return True
+        return len(groups) >= 3 and self.colour([g[0] for g in groups[:3]]) == BLUE
+
     def scan_for_blue(self, mode="exhaustive", trials=10**6, seed=0) -> dict:
         """Check that every 5-subset (or each of ``trials`` sampled ones)
         contains a blue triple.
 
-        Five vertices either put three in one part or meet three parts,
-        so the part profile of each set names its candidate triples; each
-        one is re-coloured through :meth:`colour`, never assumed blue.
+        Part-profile contract: the colour of a triple depends only on which
+        of its vertices share a part, so the verdict of a 5-set depends only
+        on its part profile.  The exhaustive scan checks the least member of
+        each class of :meth:`classes`; on a pass ``checked`` is C(N, 5), on
+        a failure the violating set is the least member of the least
+        violating class and ``checked`` is its lexicographic rank + 1, as a
+        set-by-set scan in lexicographic order would report.  The sampled
+        scan draws ``tuple(sorted(rng.sample(range(1, N + 1), 5)))`` from
+        ``random.Random(seed)`` for each trial and checks a set only when
+        its tuple of part indices has not passed before.
         The report holds ``passed``, ``mode``, ``checked``, on failure the
         ``violating_set``, and the ``seed`` of a sampled scan.
         """
         n = self.num_vertices
         if mode == "exhaustive":
-            sets = itertools.combinations(range(1, n + 1), 5)
-        elif mode == "sampled":
-            if trials < 1:
-                raise ParameterError(f"trials = {trials}, must be at least 1")
-            rng = random.Random(seed)
-            population = range(1, n + 1)
-            sets = (tuple(sorted(rng.sample(population, 5))) for _ in range(trials))
-        else:
+            checked = 0
+            for least, count in self.classes(5):
+                if not self._has_blue(least):
+                    return {"passed": False, "mode": mode,
+                            "checked": _lex_rank(least, n) + 1,
+                            "violating_set": list(least), "seed": None}
+                checked += count
+            return {"passed": True, "mode": mode, "checked": checked, "seed": None}
+        if mode != "sampled":
             raise ParameterError(f"unknown mode {mode!r}")
-        seed = seed if mode == "sampled" else None
-        part_of, colour = self.part_of, self.colour
-        checked = 0
-        for s5 in sets:
-            checked += 1
-            parts = {}
-            for v in s5:
-                parts.setdefault(part_of(v), []).append(v)
-            for g in parts.values():
-                if len(g) >= 3 and colour(g[:3]) == BLUE:
-                    break
-            else:
-                groups = list(parts.values())
-                if len(groups) < 3 or colour([g[0] for g in groups[:3]]) != BLUE:
-                    return {"passed": False, "mode": mode, "checked": checked,
-                            "violating_set": list(s5), "seed": seed}
-        return {"passed": True, "mode": mode, "checked": checked, "seed": seed}
+        if trials < 1:
+            raise ParameterError(f"trials = {trials}, must be at least 1")
+        rng = random.Random(seed)
+        sample, population, part_of = rng.sample, range(1, n + 1), self.part_of
+        passed = set()
+        for checked in range(1, trials + 1):
+            s5 = tuple(sorted(sample(population, 5)))
+            key = tuple(map(part_of, s5))
+            if key in passed:
+                continue
+            if not self._has_blue(s5):
+                return {"passed": False, "mode": mode, "checked": checked,
+                        "violating_set": list(s5), "seed": seed}
+            passed.add(key)
+        return {"passed": True, "mode": mode, "checked": trials, "seed": seed}
+
+
+def _lex_rank(c, n: int) -> int:
+    """0-based rank of the sorted set ``c`` among the |c|-subsets of 1..n
+    in lexicographic order: C(n, k) - 1 minus the sets that come after it,
+    which agree with ``c`` before position i and exceed it at i."""
+    k = len(c)
+    return math.comb(n, k) - 1 - sum(math.comb(n - v, k - i) for i, v in enumerate(c))
 
 
 def burr_erdos_pair(n: int) -> tuple[Hypergraph, BurrErdosHost]:

@@ -261,18 +261,25 @@ class TabulatedColouring(Colouring):
 
 
 def random_colouring(k: int, n: int, q: int, seed: int) -> TabulatedColouring:
-    """Uniformly random q-colouring of the k-subsets of 1..n, seed-reproducible."""
+    """Uniformly random q-colouring of the k-subsets of 1..n, seed-reproducible.
+
+    Edge e, in lexicographic order, gets ``("base", 1 + rng.randrange(q))``
+    from ``rng = random.Random(seed)``.  The draw is written out as the
+    rejection loop behind ``randrange(q)``: ``getrandbits(q.bit_length())``
+    until the value is below q.  Edges share the palette's colour tuples.
+    """
     if q < 1:
         raise ParameterError("q must be positive")
-    rng = random.Random(seed)
-    table = {
-        e: ("base", 1 + rng.randrange(q))
-        for e in itertools.combinations(range(1, n + 1), k)
-    }
-    return TabulatedColouring(
-        k, n, table, [("base", i) for i in range(1, q + 1)],
-        kind="random-seeded", seed=seed,
-    )
+    getrandbits = random.Random(seed).getrandbits
+    bits = q.bit_length()
+    colours = [("base", i) for i in range(1, q + 1)]
+    table = {}
+    for e in itertools.combinations(range(1, n + 1), k):
+        r = getrandbits(bits)
+        while r >= q:
+            r = getrandbits(bits)
+        table[e] = colours[r]
+    return TabulatedColouring(k, n, table, colours, kind="random-seeded", seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -306,6 +306,10 @@ def test_hedgehog_build_and_degeneracy(tmp_path, capsys):
     assert code == 0
     code, out, _ = run(capsys, "hedgehog", "degeneracy", "--hypergraph", str(hfile))
     assert code == 0 and "degeneracy: 1" in out
+    # the largest legal header: 10^5 isolated vertices peel in one pass
+    hfile.write_text("3 100000 0\n")
+    code, out, _ = run(capsys, "hedgehog", "degeneracy", "--hypergraph", str(hfile))
+    assert code == 0 and "degeneracy: 0" in out
 
 
 def test_find_mono_embedding_validates(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Body-and-spine hypergraphs, piercing, sunflowers, lifting, the
 monochromatic-copy finder, and the two-part host colouring."""
 
+import collections
 import itertools
 import math
 import random
@@ -97,6 +98,59 @@ def test_degeneracy_matches_induced_subgraph_definition():
         assert hh.degeneracy(h) == oracle_degeneracy(h)
 
 
+def reference_peel_trace(h):
+    """The O(V(V+E)) min-incidence peel that the bucket queue replaced."""
+    alive_edges = set(h.edges)
+    deg = {v: 0 for v in h.vertices}
+    for e in h.edges:
+        for v in e:
+            deg[v] += 1
+    alive = set(h.vertices)
+    trace = []
+    while alive:
+        v = min(alive, key=lambda u: (deg[u], u))
+        trace.append((v, deg[v]))
+        alive.remove(v)
+        dead = [e for e in alive_edges if v in e]
+        for e in dead:
+            alive_edges.remove(e)
+            for u in e:
+                if u in alive:
+                    deg[u] -= 1
+    return trace
+
+
+def reference_peel_incidences(h, order):
+    alive_edges = set(h.edges)
+    out = []
+    for v in order:
+        inc = [e for e in alive_edges if v in e]
+        out.append((v, len(inc)))
+        for e in inc:
+            alive_edges.remove(e)
+    return out
+
+
+def random_hypergraph(rng):
+    """Scattered labels, isolated vertices and dense spots, r from 2 to 4."""
+    r = rng.randint(2, 4)
+    labels = rng.sample(range(1, 60), rng.randint(r, 14))
+    candidates = list(itertools.combinations(sorted(labels), r))
+    edges = rng.sample(candidates, rng.randint(0, min(40, len(candidates))))
+    return hh.Hypergraph(r, tuple(labels), tuple(sorted(edges)))
+
+
+def test_peel_matches_reference_loop():
+    rng = random.Random(2024)
+    for _ in range(300):
+        h = random_hypergraph(rng)
+        assert hh.peel_trace(h) == reference_peel_trace(h)
+        order = rng.sample(h.vertices, len(h.vertices))
+        assert hh.peel_incidences(h, order) == reference_peel_incidences(h, order)
+    h, _ = hh.burr_erdos_pair(8)
+    assert hh.peel_trace(h) == reference_peel_trace(h)
+
+
 # --- piercing numbers -------------------------------------------------------------
 
 def test_piercing_examples():
@@ -135,6 +189,76 @@ def test_piercing_colour_restriction():
     c = su.TabulatedColouring(3, 5, table, [("base", 1), ("base", 2)])
     res = hh.piercing_number(h, 1, colouring=c, colour=("base", 1))
     assert res.value == 1 and res.witness == (2,)
+
+
+def reference_min_hitting_set(sets, budget):
+    """The piercing DFS before it sorted each set once: ``sorted(s)`` for
+    every uncovered set at every node, in the pivot key and the branch."""
+    sets = [frozenset(s) for s in sets]
+    if not sets:
+        return hh.PiercingResult(0, 0, (), True)
+    remaining = list(sets)
+    greedy = []
+    while remaining:
+        counts = {}
+        for s in remaining:
+            for v in s:
+                counts[v] = counts.get(v, 0) + 1
+        v = min(counts, key=lambda u: (-counts[u], u))
+        greedy.append(v)
+        remaining = [s for s in remaining if v not in s]
+    best = sorted(greedy)
+    best_size = len(best)
+    nodes = 0
+    exhausted = False
+
+    def dfs(uncovered, chosen):
+        nonlocal best, best_size, nodes, exhausted
+        if exhausted:
+            return
+        nodes += 1
+        if nodes > budget:
+            exhausted = True
+            return
+        if not uncovered:
+            if len(chosen) < best_size or (
+                len(chosen) == best_size and sorted(chosen) < best
+            ):
+                best = sorted(chosen)
+                best_size = len(chosen)
+            return
+        if len(chosen) + 1 > best_size:
+            return
+        pivot = min(uncovered, key=lambda s: (len(s), sorted(s)))
+        for v in sorted(pivot):
+            dfs([s for s in uncovered if v not in s], chosen + [v])
+
+    dfs(sets, [])
+    if exhausted:
+        lower = 0
+        used = set()
+        for s in sorted(sets, key=len):
+            if not (s & used):
+                lower += 1
+                used |= s
+        return hh.PiercingResult(lower, best_size, tuple(best), False)
+    return hh.PiercingResult(best_size, best_size, tuple(best), True)
+
+
+def test_min_hitting_set_matches_reference_dfs():
+    # same search tree: the same least witness, and the same bounds when
+    # the node budget runs out part way
+    rng = random.Random(77)
+    for _ in range(400):
+        universe = range(1, rng.randint(2, 10))
+        sets = [
+            rng.sample(universe, rng.randint(1, min(4, len(universe))))
+            for _ in range(rng.randint(0, 12))
+        ]
+        for budget in (3, 10, 40, 10**6):
+            assert hh._min_hitting_set(sets, budget) == reference_min_hitting_set(
+                sets, budget
+            ), (sets, budget)
 
 
 # --- sunflowers -----------------------------------------------------------------
@@ -399,6 +523,153 @@ def test_no_blue_triple_has_exactly_two_in_one_part():
             assert host.colour(tri) == hh.RED
         else:
             assert host.colour(tri) == hh.BLUE
+
+
+def reference_scan_for_blue(host, mode="exhaustive", trials=10**6, seed=0):
+    """The set-by-set scan that the part-profile scan replaced."""
+    n = host.num_vertices
+    if mode == "exhaustive":
+        sets = itertools.combinations(range(1, n + 1), 5)
+    else:
+        rng = random.Random(seed)
+        population = range(1, n + 1)
+        sets = (tuple(sorted(rng.sample(population, 5))) for _ in range(trials))
+    seed = seed if mode == "sampled" else None
+    checked = 0
+    for s5 in sets:
+        checked += 1
+        parts = {}
+        for v in s5:
+            parts.setdefault(host.part_of(v), []).append(v)
+        for g in parts.values():
+            if len(g) >= 3 and host.colour(g[:3]) == hh.BLUE:
+                break
+        else:
+            groups = list(parts.values())
+            if len(groups) < 3 or host.colour([g[0] for g in groups[:3]]) != hh.BLUE:
+                return {"passed": False, "mode": mode, "checked": checked,
+                        "violating_set": list(s5), "seed": seed}
+    return {"passed": True, "mode": mode, "checked": checked, "seed": seed}
+
+
+def profile(host, s):
+    return tuple(sorted(collections.Counter(map(host.part_of, s)).values(), reverse=True))
+
+
+class SpreadRedHost(hh.BurrErdosHost):
+    """Blue only inside one part: a 5-set with two pairs and a single in
+    three parts (profile 2+2+1) has no blue triple."""
+
+    def _colour(self, e):
+        return hh.BLUE if len({self.part_of(v) for v in e}) == 1 else hh.RED
+
+
+class InsideRedHost(hh.BurrErdosHost):
+    """Red inside a part too: every profile without three parts fails."""
+
+    def _colour(self, e):
+        return hh.BLUE if len({self.part_of(v) for v in e}) == 3 else hh.RED
+
+
+class CountingHost(hh.BurrErdosHost):
+    def __init__(self, n):
+        super().__init__(n)
+        self.calls = 0
+
+    def colour(self, edge):
+        self.calls += 1
+        return super().colour(edge)
+
+
+def occupancies(t, parts):
+    """Every way to put t vertices into the parts, as per-part counts."""
+    if parts == 1:
+        yield (t,)
+        return
+    for a in range(t + 1):
+        for rest in occupancies(t - a, parts - 1):
+            yield (a,) + rest
+
+
+def test_host_class_counts():
+    for n in (8, 12, 40, 400):
+        host = hh.BurrErdosHost(n)
+        classes = list(host.classes(5))
+        assert sum(count for _, count in classes) == math.comb(host.num_vertices, 5)
+        leasts = [least for least, _ in classes]
+        assert leasts == sorted(leasts) and len(set(leasts)) == len(leasts)
+        assert all(len(set(least)) == 5 for least in leasts)
+    # each class's count from the per-part occupancies that give its profile
+    for n in (8, 12, 40):
+        host = hh.BurrErdosHost(n)
+        want = collections.Counter()
+        for occ in occupancies(5, host.num_parts):
+            blocks = tuple(sorted((a for a in occ if a), reverse=True))
+            want[blocks] += math.prod(math.comb(host.part_size, a) for a in occ)
+        got = {profile(host, least): count for least, count in host.classes(5)}
+        assert got == dict(want), n
+
+
+def test_host_class_least_members_by_brute_force():
+    host = hh.BurrErdosHost(8)
+    want = {profile(host, least): least for least, _ in host.classes(5)}
+    first = {}
+    for s5 in itertools.combinations(range(1, host.num_vertices + 1), 5):
+        first.setdefault(profile(host, s5), s5)
+        if len(first) == len(want):
+            break
+    assert first == want
+
+
+def test_lex_rank_matches_enumeration():
+    for n, k in ((9, 5), (10, 3), (7, 1), (6, 6)):
+        for rank, c in enumerate(itertools.combinations(range(1, n + 1), k)):
+            assert hh._lex_rank(c, n) == rank
+
+
+def test_sampled_scan_matches_reference_loop():
+    for n in (8, 12):
+        for seed in (0, 1, 7, 2718):
+            host = hh.BurrErdosHost(n)
+            assert host.scan_for_blue("sampled", 3000, seed) == reference_scan_for_blue(
+                host, "sampled", 3000, seed
+            )
+
+
+def test_scan_colours_once_per_part_profile():
+    host = CountingHost(12)
+    trials, seed = 20000, 5
+    rng = random.Random(seed)
+    keys = {
+        tuple(map(host.part_of, sorted(rng.sample(range(1, host.num_vertices + 1), 5))))
+        for _ in range(trials)
+    }
+    assert host.scan_for_blue("sampled", trials, seed)["passed"]
+    # one call per key, plus the fallback triple of a key without 3 in a part
+    assert len(keys) <= host.calls <= 2 * len(keys)
+    for n in (8, 12, 40):
+        host = CountingHost(n)
+        assert host.scan_for_blue()["passed"]
+        assert host.calls <= 2 * len(list(host.classes(5)))
+
+
+def test_scan_failure_paths_match_reference_loop():
+    # the least violating set of 2+2+1 is (1, 2, 73, 74, 145), past about
+    # 1.1 million sets in lexicographic order
+    spread = SpreadRedHost(12)
+    got = spread.scan_for_blue()
+    assert got == reference_scan_for_blue(spread)
+    assert not got["passed"] and got["violating_set"] == [1, 2, 73, 74, 145]
+    assert profile(spread, got["violating_set"]) == (2, 2, 1)
+    inside = InsideRedHost(8)
+    got = inside.scan_for_blue()
+    assert got == reference_scan_for_blue(inside)
+    assert got["checked"] == 1 and got["violating_set"] == [1, 2, 3, 4, 5]
+    for host in (spread, inside, InsideRedHost(12)):
+        for seed in (0, 3, 11):
+            got = host.scan_for_blue("sampled", 500, seed)
+            assert not got["passed"]
+            assert got == reference_scan_for_blue(host, "sampled", 500, seed)
 
 
 def test_hypergraph_file_roundtrip():

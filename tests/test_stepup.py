@@ -22,6 +22,24 @@ def part35():
     return su.partition_patterns(3, 5)
 
 
+# --- random bases ----------------------------------------------------------------
+
+@pytest.mark.parametrize("q", range(1, 18))
+def test_random_colouring_reproduces_randrange_stream(q):
+    # the draw loop inlines randrange(q); an interpreter that changes
+    # randrange makes this fail rather than silently re-seed every base
+    palette = tuple(("base", i) for i in range(1, q + 1))
+    for k, n in ((1, 6), (2, 9), (3, 10), (4, 8)):
+        for seed in (0, 1, 42, 2718):
+            rng = random.Random(seed)
+            want = {
+                e: ("base", 1 + rng.randrange(q))
+                for e in itertools.combinations(range(1, n + 1), k)
+            }
+            c = su.random_colouring(k, n, q, seed)
+            assert c.table == want and c.palette() == palette
+
+
 # --- colour identifiers -------------------------------------------------------
 
 def test_colour_string_roundtrip():
