@@ -50,6 +50,7 @@ from .stepup import (
     PatternClassPartition,
     TabulatedColouring,
     WitnessReport,
+    lift_colouring,
     partition_patterns,
     random_colouring,
     step_up_1,
@@ -75,7 +76,6 @@ from .hedgehog import (
     degeneracy,
     extract_sunflower,
     find_mono_hedgehog,
-    lift_colouring,
     piercing_number,
     verify_hedgehog_spread,
 )

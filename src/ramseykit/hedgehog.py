@@ -1,7 +1,7 @@
-"""Body-and-spine hypergraphs, set-valued lifted colourings, piercing
-numbers, sunflowers, a constructive monochromatic-copy finder, and the
-two-part host colouring showing that bounded degeneracy does not bound
-3-uniform Ramsey numbers linearly.
+"""Body-and-spine hypergraphs, the spread of set-valued lifted colourings,
+piercing numbers, sunflowers, a constructive monochromatic-copy finder,
+and the two-part host colouring showing that bounded degeneracy does not
+bound 3-uniform Ramsey numbers linearly.
 
 Hypergraph files: header ``r |V| |E|``, then one edge (r vertex labels)
 per line.  Embedding witnesses serialize as JSON
@@ -29,7 +29,7 @@ from .errors import (
     ints,
     records,
 )
-from .stepup import Colouring, colour_str
+from .stepup import Colouring, LiftedColouring, colour_str, lift_colouring
 from . import rainbow as _rainbow
 
 __all__ = [
@@ -336,56 +336,8 @@ def extract_sunflower(h: Hypergraph, v: int, m: int, budget: int = DEFAULT_BUDGE
 
 
 # ---------------------------------------------------------------------------
-# Lifted colourings
+# Spread of lifted colourings
 # ---------------------------------------------------------------------------
-
-class LiftedColouring(Colouring):
-    """k-uniform colouring whose colours are p-sets of base colours.
-
-    Each k-edge collects the base colours of all its s-subedges
-    (p = C(k, s) of them); when fewer than p distinct colours appear the
-    set is padded with the smallest missing base colours, so every colour
-    id is a p-subset of the base palette and the budget is C(q, p).
-    """
-
-    def __init__(self, base: Colouring, k: int):
-        s = base.uniformity
-        if k <= s:
-            raise ParameterError(f"lifting needs k > s, got k={k}, s={s}")
-        if base.num_vertices < k:
-            raise ParameterError("universe smaller than the lifted uniformity")
-        p = math.comb(k, s)
-        if base.budget < p:
-            raise ParameterError(
-                f"padding to {p} colours impossible with only "
-                f"{base.budget} base colours"
-            )
-        super().__init__(k, base.num_vertices)
-        self.base = base
-        self.p = p
-        self.kind = "hedgehog-lifted"
-        self.step = ("lift", s, k)
-
-    def _colour(self, e):
-        got = {self.base.colour(f) for f in itertools.combinations(e, self.base.uniformity)}
-        if len(got) < self.p:
-            for c in self.base.palette():
-                if c not in got:
-                    got.add(c)
-                    if len(got) == self.p:
-                        break
-        return ("set", tuple(sorted(got)))
-
-    def _palette(self):
-        return [
-            ("set", combo)
-            for combo in itertools.combinations(self.base.palette(), self.p)
-        ]
-
-
-def lift_colouring(base: Colouring, k: int) -> LiftedColouring:
-    return LiftedColouring(base, k)
-
 
 @dataclass(frozen=True)
 class SpreadReport:
@@ -442,19 +394,16 @@ def verify_hedgehog_spread(
         )
 
     n = base.num_vertices
-    if t < s:
+    if not s <= t <= n:  # no body spans an edge, or there is no body
         return SpreadReport(
             t=t, p_prime=p_prime, p=p, bodies_checked=0, min_base_span=0,
             embeddings_checked=0, min_lifted_span=0,
         )
 
-    min_span = None
-    bodies = 0
-    for body in itertools.combinations(range(1, n + 1), t):
-        span = len({base.colour(f) for f in itertools.combinations(body, s)})
-        bodies += 1
-        if min_span is None or span < min_span:
-            min_span = span
+    bodies = math.comb(n, t)
+    min_span = min(
+        map(len, map(base.span, itertools.combinations(range(1, n + 1), t)))
+    )
     violations = []
     if min_span < need:
         violations.append({"stage": "body-span", "span": min_span})
@@ -466,7 +415,8 @@ def verify_hedgehog_spread(
     if t + n_priv <= n:
         for _ in range(embeddings):
             body = sorted(rng.sample(range(1, n + 1), t))
-            pool = [v for v in range(1, n + 1) if v not in set(body)]
+            in_body = set(body)
+            pool = [v for v in range(1, n + 1) if v not in in_body]
             rng.shuffle(pool)
             pos = 0
             cols = set()
@@ -486,7 +436,7 @@ def verify_hedgehog_spread(
         p_prime=p_prime,
         p=p,
         bodies_checked=bodies,
-        min_base_span=min_span or 0,
+        min_base_span=min_span,
         embeddings_checked=done,
         min_lifted_span=min_lifted if min_lifted is not None else 0,
         violations=tuple(violations),
@@ -552,8 +502,11 @@ def find_mono_hedgehog(
     Stage 1 classifies (k+1)-sets as endangered for a colour when few
     vertices pierce all their host edges of that colour (at k = 1 these
     are pair co-degrees, counted in one pass over the C(n,3) triples);
-    stage 2 colours each vertex by the side for which few vertices pierce
-    its endangered sets (ties go to the first palette colour); stage 3
+    stage 2 colours each vertex by a colour of which it lies in at most
+    2k*t^(k+1) endangered sets (ties go to the first palette colour), and
+    a vertex above that on both sides raises
+    :class:`IncompleteSearchError` with stage ``vertex-colouring`` and
+    both counts (impossible at k = 1, as the comment there shows); stage 3
     greedily finds a body avoiding endangered sets of the majority side;
     stage 4 grows the spine greedily, one fresh host edge per
     (k+1)-subset of the body.
@@ -596,8 +549,19 @@ def find_mono_hedgehog(
         elif deg[c_second][v] <= peril_thr:
             side[v] = c_second
         else:
-            _refute_uncolourable_vertex(
-                colouring, danger, v, k, t, c_first, c_second
+            # Cannot happen at k = 1: let A and B be the partners of v in
+            # its endangered pairs of the first and the second colour, both
+            # of more than 2t^2 vertices.  Each triple {v, a, b} adds to the
+            # first-colour co-degree of {v, a} or to the second-colour one
+            # of {v, b}, and endangered co-degrees are below t^2, so
+            # |A|*|B| <= (t^2 - 1)(|A| + |B|), false once |A|, |B| > 2t^2.
+            first, second = deg[c_first][v], deg[c_second][v]
+            raise IncompleteSearchError(
+                f"vertex {v} has {first} endangered sets of the first colour "
+                f"and {second} of the second, both above 2k*t^(k+1) = "
+                f"{peril_thr}",
+                stage="vertex-colouring",
+                details={"vertex": v, "first": first, "second": second},
             )
 
     first_side = [v for v in range(1, n + 1) if side[v] == c_first]
@@ -708,56 +672,6 @@ def _general_danger(colouring, n, k, thr, c1, c2, budget):
         elif t2.value < thr:
             danger[e] = c2
     return danger
-
-
-def _refute_uncolourable_vertex(colouring, danger, v, k, t, c1, c2):
-    """Run the crossing construction that shows a vertex cannot have many
-    endangered sets of both colours; report the failing stage either way."""
-    s = 2 * t ** (k + 1)
-    star1 = sorted(e for e, col in danger.items() if col == c1 and v in e)
-    star2 = sorted(e for e, col in danger.items() if col == c2 and v in e)
-    details = {"vertex": v, "first": len(star1), "second": len(star2)}
-    e_pick = _disjoint_star(star1, v, s)
-    f_pick = _disjoint_star(star2, v, s)
-    if len(e_pick) < s or len(f_pick) < s:
-        raise IncompleteSearchError(
-            f"vertex {v} is endangered on both sides but the crossing "
-            "construction cannot be assembled at this scale",
-            stage="vertex-colouring",
-            details=details,
-        )
-    # pools of fresh vertices pad the crossed edges up to the uniformity
-    used = set()
-    for e in e_pick + f_pick:
-        used |= set(e)
-    fresh = [u for u in range(1, colouring.num_vertices + 1) if u not in used]
-    pools = []
-    for i in range(s):
-        pools.append(fresh[i * (k - 1) : (i + 1) * (k - 1)])
-    counts: dict[tuple, dict] = {tuple(e): {c1: 0, c2: 0} for e in e_pick}
-    for i, e in enumerate(e_pick):
-        for j, f in enumerate(f_pick):
-            g = set(e) | set(f)
-            pool = pools[(i + j) % s] if s else []
-            for u in pool:
-                if len(g) >= 2 * k + 1:
-                    break
-                g.add(u)
-            if len(g) != 2 * k + 1:
-                continue
-            counts[tuple(e)][colouring.colour(tuple(sorted(g)))] += 1
-    thr = t ** (k + 1)
-    biggest = max(
-        (max(c[c1], c[c2]) for c in counts.values()), default=0
-    )
-    raise IncompleteSearchError(
-        f"vertex {v} is endangered on both sides; the crossing "
-        f"construction builds a same-coloured star of size {biggest} "
-        f"against the endangerment threshold {thr}, so the classification "
-        "is inconsistent at this scale",
-        stage="vertex-colouring",
-        details=details,
-    )
 
 
 def _disjoint_star(edges, v, m):

@@ -271,6 +271,10 @@ def search_random_rainbow(
     """
     if t < k:
         raise ParameterError(f"t = {t} below the uniformity {k}")
+    if q < 1:
+        raise ParameterError("q must be positive")
+    if max_attempts < 1:
+        raise ParameterError("max_attempts must be positive")
     if p > q:
         return None  # q colours can never span more than q
     for attempt in range(max_attempts):
@@ -311,10 +315,12 @@ def exact_rainbow_exists(
     """
     if t < k:
         raise ParameterError(f"t = {t} below the uniformity {k}")
-    if n < t:
-        return True, None  # no t-sets to violate anything
+    if q < 1:
+        raise ParameterError("q must be positive")
     if p < 1:
         raise ParameterError("p must be positive")
+    if n < t:
+        return True, None  # no t-sets to violate anything
     if p > min(q, math.comb(t, k)):
         return False, None  # no t-set can span p colours
 

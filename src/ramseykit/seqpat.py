@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ParameterError, PreconditionError
+from .errors import MAX_DECLARED, ParameterError, PreconditionError
 
 __all__ = [
     "Witness",
@@ -81,14 +81,13 @@ def all_patterns(k: int) -> tuple[tuple[int, ...], ...]:
         raise ParameterError("pattern length must be non-negative")
     if k > 8:
         raise ParameterError(f"pattern enumeration capped at length 8, got {k}")
-    if k == 0:
-        return ((),)
-    found = set()
-    for t in itertools.product(range(1, k + 1), repeat=k):
-        if len(set(t)) == max(t):  # dense ranks, i.e. t is its own pattern
-            if pattern_of(t) == t:
-                found.add(t)
-    return tuple(sorted(found))
+    # dense ranks, i.e. t is its own pattern; product runs in lexicographic
+    # order, and at k = 0 yields the empty pattern once
+    return tuple(
+        t
+        for t in itertools.product(range(1, k + 1), repeat=k)
+        if len(set(t)) == max(t, default=0)
+    )
 
 
 def _as_indices(ix, n: int) -> tuple[int, ...]:
@@ -356,34 +355,30 @@ def has_unique_local_minimum(p) -> bool:
 _ENUM_CAP = 10
 
 
+def _interval_property_perms(k: int, want_left: bool) -> tuple[tuple[int, ...], ...]:
+    if k < 0:
+        raise ParameterError("k must be non-negative")
+    if k > _ENUM_CAP:
+        raise ParameterError(f"enumeration capped at k={_ENUM_CAP}, got {k}")
+    return tuple(
+        p
+        for p in itertools.permutations(range(1, k + 1))
+        if _interval_property_sweep(p, want_left=want_left)
+    )
+
+
 def enumerate_right_property_perms(k: int) -> tuple[tuple[int, ...], ...]:
     """All permutations of 1..k with the right property, lexicographically.
 
     The count equals the k-th Catalan number.  ``k`` is capped at desk
     scale (10).
     """
-    if k < 0:
-        raise ParameterError("k must be non-negative")
-    if k > _ENUM_CAP:
-        raise ParameterError(f"enumeration capped at k={_ENUM_CAP}, got {k}")
-    return tuple(
-        p
-        for p in itertools.permutations(range(1, k + 1))
-        if _interval_property_sweep(p, want_left=False)
-    )
+    return _interval_property_perms(k, want_left=False)
 
 
 def enumerate_left_property_perms(k: int) -> tuple[tuple[int, ...], ...]:
     """All permutations of 1..k with the left property, lexicographically."""
-    if k < 0:
-        raise ParameterError("k must be non-negative")
-    if k > _ENUM_CAP:
-        raise ParameterError(f"enumeration capped at k={_ENUM_CAP}, got {k}")
-    return tuple(
-        p
-        for p in itertools.permutations(range(1, k + 1))
-        if _interval_property_sweep(p, want_left=True)
-    )
+    return _interval_property_perms(k, want_left=True)
 
 
 def gen_sk(k: int) -> tuple[int, ...]:
@@ -396,6 +391,11 @@ def gen_sk(k: int) -> tuple[int, ...]:
     """
     if k < 1:
         raise ParameterError("k must be at least 1")
+    length = (1 << (k + 1)) - 1
+    if length > MAX_DECLARED:
+        raise ParameterError(
+            f"k = {k} gives length {length}, above the limit {MAX_DECLARED}"
+        )
     s = (1, 3, 2)
     for level in range(2, k + 1):
         half = 1 << level

@@ -1,4 +1,5 @@
-"""Lazily evaluable edge colourings and the two doubling constructions.
+"""Lazily evaluable edge colourings, the two doubling constructions and
+the set-valued lift.
 
 Vertex universes are always ``1..n`` (1-based).  A doubled universe has
 ``2^n`` vertices; vertex ``v`` of it corresponds to the bit vector of
@@ -18,8 +19,8 @@ The shapes are disjoint and tuples compare lexicographically, which gives
 the canonical total order used for palettes and reports.
 
 Schedule files hold one step per line (``up1 k p``, ``up1b k p``,
-``up2 k p``), optionally preceded by a ``base ...`` line describing the
-ground colouring (``base random <k> <n> <q> <seed>`` or
+``up2 k p``, ``lift s k``), optionally preceded by a ``base ...`` line
+describing the ground colouring (``base random <k> <n> <q> <seed>`` or
 ``base file <path>``).  Tabulated colourings export as a ``k n q`` header
 followed by one ``v1 ... vk colour`` line per edge; lazy colourings export
 their base description plus schedule instead.
@@ -601,12 +602,63 @@ def step_up_2(base: Colouring, p: int) -> SteppedDouble:
     return SteppedDouble(base, p)
 
 
+# ---------------------------------------------------------------------------
+# Lifting to set colours
+# ---------------------------------------------------------------------------
+
+class LiftedColouring(Colouring):
+    """k-uniform colouring whose colours are p-sets of base colours.
+
+    Each k-edge collects the base colours of all its s-subedges
+    (p = C(k, s) of them); when fewer than p distinct colours appear the
+    set is padded with the smallest missing base colours, so every colour
+    id is a p-subset of the base palette and the budget is C(q, p).
+    """
+
+    def __init__(self, base: Colouring, k: int):
+        s = base.uniformity
+        if k <= s:
+            raise ParameterError(f"lifting needs k > s, got k={k}, s={s}")
+        if base.num_vertices < k:
+            raise ParameterError("universe smaller than the lifted uniformity")
+        p = math.comb(k, s)
+        if base.budget < p:
+            raise ParameterError(
+                f"padding to {p} colours impossible with only "
+                f"{base.budget} base colours"
+            )
+        super().__init__(k, base.num_vertices)
+        self.base = base
+        self.p = p
+        self.kind = "hedgehog-lifted"
+        self.step = ("lift", s, k)
+
+    def _colour(self, e):
+        # ``e`` is sorted and in range, as ``span`` requires; copy the span,
+        # which a stepped base hands out from its memo
+        got = set(self.base.span(e))
+        if len(got) < self.p:
+            missing = (c for c in self.base.palette() if c not in got)
+            got.update(itertools.islice(missing, self.p - len(got)))
+        return ("set", tuple(sorted(got)))
+
+    def _palette(self):
+        return [
+            ("set", combo)
+            for combo in itertools.combinations(self.base.palette(), self.p)
+        ]
+
+
+def lift_colouring(base: Colouring, k: int) -> LiftedColouring:
+    return LiftedColouring(base, k)
+
+
 def tower_compose(base: Colouring, steps) -> Colouring:
     """Fold a schedule of doubling and lifting steps over a ground colouring.
 
     ``steps`` holds the ``(name, k, p)`` triples of :func:`parse_schedule`
     with name ``up1``, ``up1b`` or ``up2``, or ``("lift", s, k)`` for
-    :func:`hedgehog.lift_colouring` to uniformity ``k``; each step's
+    :func:`lift_colouring` to uniformity ``k``; each step's
     ``k`` (``s``) must be the uniformity it steps up from, uniformities
     and budgets are validated per step, and an infeasible schedule
     reports the failing step.
@@ -626,8 +678,6 @@ def tower_compose(base: Colouring, steps) -> Colouring:
             elif name == "up2":
                 cur = step_up_2(cur, p)
             elif name == "lift":
-                from .hedgehog import lift_colouring  # hedgehog imports stepup
-
                 cur = lift_colouring(cur, p)
             else:
                 raise ParameterError(f"unknown step {name!r}")

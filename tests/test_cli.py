@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from ramseykit import cli, rainbow
+from ramseykit import cli, hedgehog, rainbow
 from ramseykit.cli import main
 
 
@@ -93,6 +93,17 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
           "--p", "3", "--seed", "5", "--export", missing], "no-such-dir"),
         (["exact-oracle", "--k", "2", "--n", "5", "--q", "2", "--t", "3",
           "--p", "2", "--export", missing], "no-such-dir"),
+        # empty palettes, no attempts, and a family member above the size limit
+        (["exact-oracle", "--k", "2", "--n", "5", "--q", "0", "--t", "3",
+          "--p", "2"], "q must be positive"),
+        # p below 1 also when n < t leaves no t-set to check
+        (["exact-oracle", "--k", "2", "--n", "3", "--q", "2", "--t", "4",
+          "--p", "0"], "p must be positive"),
+        (["search-random", "--k", "2", "--n", "6", "--q", "0", "--t", "4",
+          "--p", "3"], "q must be positive"),
+        (["search-random", "--k", "2", "--n", "6", "--q", "3", "--t", "4",
+          "--p", "3", "--attempts", "0"], "max_attempts must be positive"),
+        (["gen-sk", "--k", "40"], "above the limit"),
     ]
     for argv, needle in cases:
         code, _, err = run(capsys, *argv)
@@ -161,6 +172,21 @@ def test_incomplete_search_exits_2(monkeypatch, capsys):
     code, out, err = run(capsys, "preset", "--name", "cor-five-colours")
     assert code == 2 and not out
     assert err == "incomplete (base): random base not found\n"
+
+
+def test_find_mono_vertex_colouring_exits_2(monkeypatch, capsys):
+    # a forged danger map puts vertex 1 in 19 endangered pairs of each
+    # colour, above 2k*t^(k+1) = 18 at t = 3
+    forged = {(1, v): ("base", 1) for v in range(2, 21)}
+    forged.update({(1, v): ("base", 2) for v in range(21, 40)})
+    monkeypatch.setattr(hedgehog, "_pair_danger", lambda *args: forged)
+    code, out, err = run(
+        capsys, "hedgehog", "find-mono", "--random-base", "3", "40", "2", "1",
+        "--t", "3",
+    )
+    assert code == 2 and not out
+    assert err.startswith("incomplete (vertex-colouring): vertex 1 ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_extract_witness_validates(tmp_path, capsys):

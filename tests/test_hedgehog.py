@@ -13,6 +13,7 @@ from ramseykit import rainbow as rb
 from ramseykit import stepup as su
 from ramseykit.errors import (
     FileFormatError,
+    IncompleteSearchError,
     ParameterError,
     PreconditionError,
 )
@@ -299,6 +300,14 @@ def test_sunflower_random_instances():
 
 # --- lifting --------------------------------------------------------------------
 
+def lifted_colour_oracle(base, e, p):
+    """The union of the base colours on the s-subedges of ``e``, through
+    checked ``colour`` calls, padded with the least missing palette colours."""
+    got = {base.colour(f) for f in itertools.combinations(e, base.uniformity)}
+    pad = [c for c in base.palette() if c not in got][: p - len(got)]
+    return ("set", tuple(sorted(got | set(pad))))
+
+
 def test_lift_colour_is_exact_union_when_spread():
     base = su.random_colouring(2, 8, 8, seed=1)
     lifted = hh.lift_colouring(base, 3)
@@ -310,6 +319,25 @@ def test_lift_colour_is_exact_union_when_spread():
             assert set(col[1]) == got
         else:
             assert got <= set(col[1])
+        assert col == lifted_colour_oracle(base, e, 3)
+    # stepped bases hand out their spans from a memo, which lifting must
+    # read and never pad in place
+    up2 = su.step_up_2(su.random_colouring(2, 4, 6, seed=1), 2)
+    tower = su.tower_compose(
+        su.random_colouring(2, 3, 3, seed=4), [("up2", 2, 2), ("up1", 4, 3)]
+    )
+    rng = random.Random(7)
+    for base, k, edges in (
+        (up2, 5, list(itertools.combinations(range(1, 17), 5))),
+        (tower, 6, [tuple(sorted(rng.sample(range(1, 257), 6))) for _ in range(400)]),
+    ):
+        lifted = hh.lift_colouring(base, k)
+        p = lifted.p
+        for e in edges:
+            assert lifted.colour(e) == lifted_colour_oracle(base, e, p), e
+            assert base.span(e) == {
+                base.colour(f) for f in itertools.combinations(e, base.uniformity)
+            }
 
 
 def test_lift_budget_and_padding():
@@ -354,6 +382,14 @@ def test_spread_vacuous_when_body_below_uniformity():
     rep = rb.RainbowReport(passed=True, t=1, p=4, coverage="exhaustive")
     spread = hh.verify_hedgehog_spread(lifted, 1, 1, base_report=rep)
     assert spread.bodies_checked == 0 and spread.passed
+
+
+def test_spread_vacuous_when_body_exceeds_universe():
+    lifted = hh.lift_colouring(su.random_colouring(2, 6, 16, 1), 3)
+    spread = hh.verify_hedgehog_spread(lifted, 7, 1)
+    assert spread.passed
+    assert spread.bodies_checked == spread.embeddings_checked == 0
+    assert spread.min_base_span == spread.min_lifted_span == 0
 
 
 # --- monochromatic copies ----------------------------------------------------------
@@ -433,6 +469,25 @@ def test_find_mono_guards():
         hh.find_mono_hedgehog(su.random_colouring(2, 30, 2, seed=0), 3)
     with pytest.raises(ParameterError):
         hh.find_mono_hedgehog(su.random_colouring(3, 81, 3, seed=0), 3)
+
+
+def test_find_mono_vertex_endangered_on_both_sides(monkeypatch):
+    # impossible for true co-degrees at k = 1, so the danger map is forged:
+    # vertex 1 lies in 20 first-colour and 21 second-colour endangered
+    # pairs, both above 2k*t^(k+1) = 18 at t = 3
+    c = su.random_colouring(3, 45, 2, seed=0)
+    c1, c2 = c.palette()
+    forged = {(1, v): c1 for v in range(2, 22)}
+    forged.update({(1, v): c2 for v in range(22, 43)})
+    monkeypatch.setattr(hh, "_pair_danger", lambda *args: forged)
+    with pytest.raises(IncompleteSearchError) as exc:
+        hh.find_mono_hedgehog(c, 3)
+    assert exc.value.stage == "vertex-colouring"
+    assert exc.value.details == {"vertex": 1, "first": 20, "second": 21}
+    assert str(exc.value) == (
+        "vertex 1 has 20 endangered sets of the first colour and 21 of the "
+        "second, both above 2k*t^(k+1) = 18"
+    )
 
 
 def test_find_mono_bigger_body():

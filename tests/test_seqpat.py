@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramseykit import seqpat as sp
-from ramseykit.errors import ParameterError, PreconditionError
+from ramseykit.errors import MAX_DECLARED, ParameterError, PreconditionError
 
 
 # --- independent oracles (definition-level, no shared code paths) ----------
@@ -123,6 +123,22 @@ def test_all_patterns_counts():
     # ordered Bell numbers
     for k, want in [(0, 1), (1, 1), (2, 3), (3, 13), (4, 75)]:
         assert len(sp.all_patterns(k)) == want
+
+
+def test_all_patterns_matches_sorted_canonical_filter():
+    # the enumeration that re-canonicalised each dense tuple and sorted
+    def old_all_patterns(k):
+        if k == 0:
+            return ((),)
+        found = set()
+        for t in itertools.product(range(1, k + 1), repeat=k):
+            if len(set(t)) == max(t):
+                if sp.pattern_of(t) == t:
+                    found.add(t)
+        return tuple(sorted(found))
+
+    for k in range(0, 8):
+        assert sp.all_patterns(k) == old_all_patterns(k), k
 
 
 # --- containment ------------------------------------------------------------
@@ -258,6 +274,23 @@ def test_catalan_counts_and_complement():
     assert set(itertools.permutations((1, 2, 3))) - rp3 == {(2, 3, 1)}
 
 
+def test_property_enumerations_match_separate_filters():
+    def old_enumeration(k, want_left):
+        return tuple(
+            p
+            for p in itertools.permutations(range(1, k + 1))
+            if sp._interval_property_sweep(p, want_left=want_left)
+        )
+
+    for k in range(0, 9):
+        assert sp.enumerate_left_property_perms(k) == old_enumeration(k, True), k
+        assert sp.enumerate_right_property_perms(k) == old_enumeration(k, False), k
+    for enum in (sp.enumerate_left_property_perms, sp.enumerate_right_property_perms):
+        for bad in (-1, 11):
+            with pytest.raises(ParameterError):
+                enum(bad)
+
+
 def test_left_right_by_reversal():
     for k in range(1, 7):
         lefts = set(sp.enumerate_left_property_perms(k))
@@ -295,6 +328,11 @@ def test_gen_sk_examples():
         assert sorted(g) == list(range(1, 2 ** (k + 1)))
     with pytest.raises(ParameterError):
         sp.gen_sk(0)
+    # the longest family member within the declared-size limit, and the next
+    assert len(sp.gen_sk(15)) == 2**16 - 1 <= MAX_DECLARED
+    too_long = f"length 131071, above the limit {MAX_DECLARED}"
+    with pytest.raises(ParameterError, match=too_long):
+        sp.gen_sk(16)
 
 
 def test_gen_sk_avoidance():
