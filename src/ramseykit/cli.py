@@ -8,6 +8,11 @@ ran out of attempts (one line on stderr, never a traceback).
 with LF line endings, ``#`` starts a comment and blank lines are skipped;
 sequence files hold whitespace-separated integers; vertex indices in
 reports are 1-based.
+
+Each ``cmd_*`` handler returns ``(report, exit code)`` and writes no
+report itself: ``main`` writes the report once, as JSON or text, to stdout
+or ``--output``.  A ``None`` report means the handler printed its plain
+output already (``gen-sk`` in text mode).
 """
 
 from __future__ import annotations
@@ -78,7 +83,7 @@ def _emit(args, doc):
         payload = report.encode_report(doc)
     else:
         payload = report.render_text(doc)
-    if getattr(args, "output", None):
+    if args.output:
         _write(args.output, payload)
     else:
         sys.stdout.write(payload)
@@ -93,31 +98,27 @@ def _config_of(args, names):
     return cfg
 
 
-def _load_base(args):
-    if getattr(args, "colouring", None):
-        return stepup.parse_tabulated(_read(args.colouring), path=args.colouring)
-    if getattr(args, "random_base", None):
-        return stepup.random_colouring(*args.random_base)
-    raise ParameterError("provide --colouring or --random-base k n q seed")
+def _load_base(args, line=None):
+    """The base colouring named by ``--colouring`` or ``--random-base`` or,
+    failing both, by a schedule's ``base`` line: ``("file", path)`` or
+    ``("random", k, n, q, seed)``."""
+    if args.colouring:
+        line = ("file", args.colouring)
+    elif args.random_base:
+        line = ("random", *args.random_base)
+    if line is None:
+        raise ParameterError(
+            "provide --colouring, --random-base k n q seed or a schedule base line"
+        )
+    if line[0] == "random":
+        return stepup.random_colouring(*line[1:])
+    return stepup.parse_tabulated(_read(line[1]), path=line[1])
 
 
 def _load_schedule_colouring(args):
-    """Build a lazy colouring from a schedule file (plus optional base flags)."""
-    base_spec, raw_steps = stepup.parse_schedule(
-        _read(args.schedule), path=args.schedule
-    )
-    if getattr(args, "colouring", None) or getattr(args, "random_base", None):
-        base = _load_base(args)
-    elif base_spec is None:
-        raise ParameterError(
-            "schedule has no base line; provide --colouring or --random-base"
-        )
-    elif base_spec[0] == "random":
-        _, k, n, q, seed = base_spec
-        base = stepup.random_colouring(k, n, q, seed)
-    else:
-        base = stepup.parse_tabulated(_read(base_spec[1]), path=base_spec[1])
-    return stepup.tower_compose(base, raw_steps)
+    """The lazy colouring a schedule file builds over its base."""
+    line, steps = stepup.parse_schedule(_read(args.schedule), path=args.schedule)
+    return stepup.tower_compose(_load_base(args, line), steps)
 
 
 # ---------------------------------------------------------------------------
@@ -127,27 +128,25 @@ def _load_schedule_colouring(args):
 def cmd_pattern(args):
     s = _sequence_arg(args)
     p = seqpat.pattern_of(s)
-    _emit(args, {
+    return {
         "command": "pattern",
         "config": _config_of(args, []),
         "sequence": list(s),
         "pattern": list(p),
         "is_permutation": seqpat.is_permutation_pattern(p),
-    })
-    return PASS
+    }, PASS
 
 
 def cmd_gen_sk(args):
     s = seqpat.gen_sk(args.k)
     if args.format == "text" and not args.output:
         print(" ".join(str(x) for x in s))
-    else:
-        _emit(args, {
-            "command": "gen-sk",
-            "config": _config_of(args, ["k"]),
-            "sequence": list(s),
-        })
-    return PASS
+        return None, PASS
+    return {
+        "command": "gen-sk",
+        "config": _config_of(args, ["k"]),
+        "sequence": list(s),
+    }, PASS
 
 
 def cmd_extract(args):
@@ -155,7 +154,7 @@ def cmd_extract(args):
     L = _int_list(args.left, "--left")
     R = _int_list(args.right, "--right")
     w = seqpat.find_l_r_or_homogeneous(s, L, R)
-    doc = {
+    return {
         "command": "extract",
         "config": _config_of(args, ["left", "right"]),
         "witness_kind": "sequence-witness",
@@ -163,9 +162,7 @@ def cmd_extract(args):
         "left": list(L),
         "right": list(R),
         **w.to_dict(),
-    }
-    _emit(args, doc)
-    return PASS
+    }, PASS
 
 
 def cmd_separated(args):
@@ -184,10 +181,9 @@ def cmd_separated(args):
         if ix is None:
             # a not-found report carries no witness for validate to check
             del doc["witness_kind"], doc["witnesses"]
-        _emit(args, doc)
-        return PASS if ix is not None else FAIL
+        return doc, PASS if ix is not None else FAIL
     res = seqpat.separated_interlacing(s, args.k)
-    doc = {
+    return {
         "command": "separated",
         "config": _config_of(args, ["k"]),
         "witness_kind": "separated-witnesses",
@@ -197,24 +193,20 @@ def cmd_separated(args):
         "witnesses": {
             " ".join(map(str, sig)): list(ix) for sig, ix in sorted(res.witnesses.items())
         },
-    }
-    _emit(args, doc)
-    return PASS
+    }, PASS
 
 
 def cmd_delta(args):
     vs = delta.parse_vertex_file(_read(args.vertex_file), path=args.vertex_file)
     ds = delta.delta_sequence(sorted(vs, key=lambda v: v.value))
-    doc = {
+    return {
         "command": "delta",
         "config": _config_of(args, ["vertex_file"]),
         "width": ds.width,
         "vertices": [v.value for v in ds.vertices],
         "deltas": list(ds.deltas),
         "unique_and_max": delta.check_unique_and_max(ds),
-    }
-    _emit(args, doc)
-    return PASS
+    }, PASS
 
 
 def cmd_stepup(args):
@@ -233,15 +225,11 @@ def cmd_stepup(args):
         doc["colour"] = stepup.colour_str(c.colour(e))
         if args.explain:
             doc["trace"] = c.explain(e)
-    _emit(args, doc)
-    return PASS
+    return doc, PASS
 
 
 def cmd_verify(args):
-    if args.schedule:
-        c = _load_schedule_colouring(args)
-    else:
-        c = _load_base(args)
+    c = _load_schedule_colouring(args) if args.schedule else _load_base(args)
     rep = rainbow.verify_rainbow(
         c,
         args.t,
@@ -271,8 +259,7 @@ def cmd_verify(args):
         doc["p"] = args.p
         doc["violating_set"] = list(rep.violating_set)
         doc["violating_colours"] = [stepup.colour_str(c0) for c0 in rep.violating_colours]
-    _emit(args, doc)
-    return PASS if rep.passed else FAIL
+    return doc, PASS if rep.passed else FAIL
 
 
 def cmd_search_random(args):
@@ -282,13 +269,12 @@ def cmd_search_random(args):
     )
     cfg = _config_of(args, ["k", "n", "q", "t", "p", "attempts", "seed"])
     if got is None:
-        _emit(args, {
+        return {
             "command": "search-random",
             "config": cfg,
             "found": False,
             "note": "exhausted attempts; this is a report, not a proof",
-        })
-        return FAIL
+        }, FAIL
     colouring, rep, attempts = got
     doc = {
         "command": "search-random",
@@ -302,8 +288,7 @@ def cmd_search_random(args):
     if args.export:
         _write(args.export, stepup.format_tabulated(colouring))
         doc["exported"] = args.export
-    _emit(args, doc)
-    return PASS
+    return doc, PASS
 
 
 def cmd_exact_oracle(args):
@@ -321,8 +306,7 @@ def cmd_exact_oracle(args):
     if witness is not None and args.export:
         _write(args.export, stepup.format_tabulated(witness))
         doc["exported"] = args.export
-    _emit(args, doc)
-    return PASS if exists else FAIL
+    return doc, PASS if exists else FAIL
 
 
 def _hypergraph_arg(args):
@@ -346,31 +330,28 @@ def cmd_hedgehog(args):
         if args.export:
             _write(args.export, hedgehog.format_hypergraph(hyp))
             doc["exported"] = args.export
-        _emit(args, doc)
-        return PASS
+        return doc, PASS
     if action == "degeneracy":
         h = _hypergraph_arg(args)
-        _emit(args, {
+        return {
             "command": "hedgehog degeneracy",
             "config": _config_of(args, ["hypergraph"]),
             "degeneracy": hedgehog.degeneracy(h),
-        })
-        return PASS
+        }, PASS
     if action == "piercing":
         h = _hypergraph_arg(args)
         if args.subset is None:
             raise ParameterError("hedgehog piercing: provide --subset")
         a = _int_list(args.subset, "--subset")
         res = hedgehog.piercing_number(h, a, budget=args.budget)
-        _emit(args, {
+        return {
             "command": "hedgehog piercing",
             "config": _config_of(args, ["hypergraph", "subset"]),
             "exact": res.exact,
             "lower": res.lower,
             "upper": res.upper,
             "witness": list(res.witness),
-        })
-        return PASS
+        }, PASS
     if action == "lift":
         base = _load_base(args)
         lifted = hedgehog.lift_colouring(base, args.k)
@@ -386,21 +367,18 @@ def cmd_hedgehog(args):
             e = _int_list(args.edge, "--edge")
             doc["edge"] = list(e)
             doc["colour"] = stepup.colour_str(lifted.colour(e))
-        _emit(args, doc)
-        return PASS
+        return doc, PASS
     if action == "find-mono":
         c = _load_base(args)
         emb = hedgehog.find_mono_hedgehog(c, args.t, budget=args.budget)
-        doc = {
+        return {
             "command": "hedgehog find-mono",
             "config": _config_of(args, ["t"]),
             "witness_kind": "embedding",
             "colouring": report.colouring_spec(c),
             "colour": stepup.colour_str(emb.colour),
             **emb.to_dict(),
-        }
-        _emit(args, doc)
-        return PASS
+        }, PASS
     raise ParameterError(f"unknown hedgehog action {action!r}")
 
 
@@ -424,8 +402,7 @@ def cmd_burr_erdos(args):
         res = host.scan_for_blue(mode=args.check, trials=args.sample, seed=args.seed)
         doc["host_check"] = res
         code = PASS if res["passed"] else FAIL
-    _emit(args, doc)
-    return code
+    return doc, code
 
 
 def cmd_validate(args):
@@ -443,13 +420,12 @@ def cmd_validate(args):
         raise FileFormatError(
             f"malformed witness: {exc}", path=args.witness
         ) from None
-    _emit(args, {
+    return {
         "command": "validate",
         "config": _config_of(args, ["witness"]),
         "valid": ok,
         "message": message,
-    })
-    return PASS if ok else FAIL
+    }, PASS if ok else FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -468,14 +444,14 @@ def cmd_preset(args):
         raise ParameterError(
             f"unknown preset {name!r}; choose from {sorted(handlers)}"
         )
+    if args.samples < 1:
+        raise ParameterError(f"--samples must be positive, got {args.samples}")
     doc, code = handlers[name](args)
-    doc = {
+    return {
         "command": f"preset {name}",
         "config": _config_of(args, ["name", "seed", "samples"]),
         **doc,
-    }
-    _emit(args, doc)
-    return code
+    }, code
 
 
 def _random_base(args, k, n, q, t, p):
@@ -689,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", type=int, help="sampled mode with this many trials")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("search-random", help="first-moment style random search")
+    p = sub.add_parser("search-random", help="seeded random rainbow search")
     for name in ("k", "n", "q", "t", "p"):
         p.add_argument(f"--{name}", type=int, required=True)
     p.add_argument("--attempts", type=int, default=100)
@@ -740,7 +716,10 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        doc, code = args.func(args)
+        if doc is not None:
+            _emit(args, doc)
+        return code
     except (ParameterError, PreconditionError, FileFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE

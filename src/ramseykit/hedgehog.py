@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .errors import (
     BudgetExceededError,
     DEFAULT_BUDGET,
+    MAX_DECLARED,
     FileFormatError,
     ParameterError,
     PreconditionError,
@@ -29,7 +30,7 @@ from .errors import (
     ints,
     records,
 )
-from .stepup import Colouring, LiftedColouring, colour_str, lift_colouring
+from .stepup import Colouring, LiftedColouring, _comb_upto, colour_str, lift_colouring
 from . import rainbow as _rainbow
 
 __all__ = [
@@ -115,13 +116,17 @@ class Hedgehog:
 def build_hedgehog(t: int, k: int, s: int) -> Hedgehog:
     """Construct the body-and-spine hypergraph with parameters (t, k, s).
 
-    The result has C(t, s) edges and t + (k-s)*C(t, s) vertices; the
-    balanced variant takes s = ceil(k/2).
+    The result has C(t, s) edges and t + (k-s)*C(t, s) vertices, at most
+    MAX_DECLARED; the balanced variant takes s = ceil(k/2).
     """
     if not (k > s >= 1):
         raise ParameterError(f"need k > s >= 1, got k={k}, s={s}")
     if t < s:
         raise ParameterError(f"need t >= s, got t={t}, s={s}")
+    if t + (k - s) * _comb_upto(t, s, MAX_DECLARED) > MAX_DECLARED:
+        raise ParameterError(
+            f"t + (k-s)*C(t, s) vertices are above the limit {MAX_DECLARED}"
+        )
     body = tuple(range(1, t + 1))
     spine = []
     nxt = t + 1
@@ -456,7 +461,6 @@ class HedgehogEmbedding:
     body: tuple[int, ...]
     edges: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # (subset, privates)
     colour: object
-    stats: dict
 
     def to_dict(self) -> dict:
         return {
@@ -609,11 +613,6 @@ def find_mono_hedgehog(
         body=body_t,
         edges=tuple(spine),
         colour=target,
-        stats={
-            "danger_sets": len(danger),
-            "majority": colour_str(target),
-            "majority_size": len(members),
-        },
     )
     if not validate_embedding(emb, colouring, t):
         raise IncompleteSearchError(
@@ -853,6 +852,10 @@ def burr_erdos_pair(n: int) -> tuple[Hypergraph, BurrErdosHost]:
     """
     if n % 4 != 0 or n < 4:
         raise ParameterError("n must be a positive multiple of 4")
+    if n + _comb_upto(n, 2, MAX_DECLARED) + 1 > MAX_DECLARED:
+        raise ParameterError(
+            f"n + C(n, 2) + 1 vertices are above the limit {MAX_DECLARED}"
+        )
     base = list(range(1, n + 1))
     pairs = list(itertools.combinations(base, 2))
     m = len(pairs)

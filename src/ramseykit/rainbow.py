@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .errors import BudgetExceededError, DEFAULT_BUDGET, ParameterError
 from .stepup import Colouring, TabulatedColouring, random_colouring
+from .stepup import _check_built, _comb_upto
 
 __all__ = [
     "RainbowReport",
@@ -311,7 +312,8 @@ def exact_rainbow_exists(
     search allows only the next new colour or a repeat of the previous
     edge's colour that keeps the current block no longer than the last.
     When p exceeds q or C(t, k), no t-set can span p colours and the answer
-    is no without a search.
+    is no without a search.  An instance that would list more than
+    MAX_BUILT edges or t-sets raises ParameterError.
     """
     if t < k:
         raise ParameterError(f"t = {t} below the uniformity {k}")
@@ -321,8 +323,10 @@ def exact_rainbow_exists(
         raise ParameterError("p must be positive")
     if n < t:
         return True, None  # no t-sets to violate anything
-    if p > min(q, math.comb(t, k)):
+    if p > min(q, _comb_upto(t, k, q)):
         return False, None  # no t-set can span p colours
+    _check_built("edges", n, k)
+    _check_built("t-sets", n, t)
 
     edges = list(itertools.combinations(range(1, n + 1), k))
     m = len(edges)

@@ -39,7 +39,7 @@ def _stringify(obj, keep_ints=False):
         return obj
     if isinstance(obj, dict):
         return {
-            str(_flat_key(k)): _stringify(v, keep_ints=(k == "schema"))
+            str(k): _stringify(v, keep_ints=(k == "schema"))
             for k, v in obj.items()
         }
     if isinstance(obj, (list, tuple)):
@@ -47,12 +47,6 @@ def _stringify(obj, keep_ints=False):
     if isinstance(obj, (set, frozenset)):
         return sorted(_stringify(v) for v in obj)
     return obj
-
-
-def _flat_key(k):
-    if isinstance(k, tuple):
-        return " ".join(str(x) for x in k)
-    return k
 
 
 def encode_report(report: dict) -> str:
@@ -211,7 +205,6 @@ def _validate_embedding_doc(doc):
         body=body,
         edges=edges,
         colour=stepup.parse_colour(next(iter(cols))),
-        stats={},
     )
     if not hedgehog.validate_embedding(emb, c, int(doc["config"]["t"])):
         return False, "embedding fails re-validation"

@@ -35,7 +35,8 @@ import random
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .errors import MAX_DECLARED, FileFormatError, ParameterError, check_declared, ints, records
+from .errors import MAX_BUILT, MAX_DECLARED, FileFormatError, ParameterError
+from .errors import check_declared, ints, records
 from . import delta, seqpat
 
 __all__ = [
@@ -233,6 +234,13 @@ def _comb_upto(n: int, k: int, cap: int) -> int:
     return c
 
 
+def _check_built(what: str, n: int, k: int) -> None:
+    """Refuse a table of the C(n, k) ``what`` when it would hold more than
+    MAX_BUILT of them, before any of it is built."""
+    if _comb_upto(n, k, MAX_BUILT) > MAX_BUILT:
+        raise ParameterError(f"C({n}, {k}) {what} are above the limit {MAX_BUILT}")
+
+
 class TabulatedColouring(Colouring):
     """Colouring stored as an explicit edge table."""
 
@@ -271,6 +279,7 @@ def random_colouring(k: int, n: int, q: int, seed: int) -> TabulatedColouring:
     """
     if q < 1:
         raise ParameterError("q must be positive")
+    _check_built("edges", n, k)
     getrandbits = random.Random(seed).getrandbits
     bits = q.bit_length()
     colours = [("base", i) for i in range(1, q + 1)]
@@ -464,10 +473,7 @@ class SteppedPlusOne(_Stepped):
         self.step = ("up1b" if aliased else "up1", partition.k, partition.p)
         # the construction forces its colour count on vertex sets of size
         # t**(16**k + 1); witness reports name the count as their target
-        self.guarantee = {
-            "forced_colours": partition.p - 2 if aliased else partition.p,
-            "set_size_exponent": 16**partition.k + 1,
-        }
+        self.forced_colours = partition.p - 2 if aliased else partition.p
         self._memo: dict = {}
 
     def colour_of_deltas(self, ds: tuple[int, ...]):
@@ -537,7 +543,7 @@ class SteppedDouble(_Stepped):
         self.kind = "stepped-up-2"
         self.step = ("up2", k, p)
         # forced on vertex sets of size t**(k + 2)
-        self.guarantee = {"forced_colours": p, "set_size_exponent": k + 2}
+        self.forced_colours = p
         self._perm_index = {
             perm: i
             for i, perm in enumerate(
@@ -857,7 +863,7 @@ def witness_p_colours(colouring: Colouring, vertices) -> WitnessReport:
     if len(vs) <= colouring.uniformity:
         return WitnessReport(
             outcome="branch",
-            target=colouring.guarantee["forced_colours"],
+            target=colouring.forced_colours,
             branch={"reason": "too-small", "size": len(vs)},
         )
     ds = delta.delta_sequence_of_ints(
@@ -904,7 +910,7 @@ def _witness_plus_one(c: SteppedPlusOne, ds: delta.DeltaSeq):
             length, wit = seqpat.longest_homogeneous_max_induced(host)
             return WitnessReport(
                 outcome="branch",
-                target=c.guarantee["forced_colours"],
+                target=c.forced_colours,
                 branch={
                     "reason": "homogeneous",
                     "missing": label,

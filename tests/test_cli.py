@@ -58,6 +58,8 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
     sched.write_text("base random 3 6 3 42\nup1 3 5\n")
     wrong_k = tmp_path / "wrong-k.txt"
     wrong_k.write_text("base random 3 6 3 42\nup2 5 2\n")
+    big_base = tmp_path / "big-base.txt"
+    big_base.write_text("base random 3 2000 2 1\nup1 3 5\n")
     hyp = tmp_path / "h.txt"
     run(capsys, "hedgehog", "build", "--export", str(hyp))
     missing = str(tmp_path / "no-such-dir" / "out.txt")
@@ -104,6 +106,26 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
         (["search-random", "--k", "2", "--n", "6", "--q", "3", "--t", "4",
           "--p", "3", "--attempts", "0"], "max_attempts must be positive"),
         (["gen-sk", "--k", "40"], "above the limit"),
+        # sizes that would build a table or hypergraph above the limits
+        (["verify", "--random-base", "3", "2000", "2", "1", "--t", "3", "--p", "2"],
+         "C(2000, 3) edges are above the limit"),
+        (["verify", "--schedule", str(big_base), "--t", "3", "--p", "2"],
+         "C(2000, 3) edges are above the limit"),
+        (["hedgehog", "find-mono", "--random-base", "3", "2000", "2", "1"],
+         "C(2000, 3) edges are above the limit"),
+        (["search-random", "--k", "3", "--n", "100000", "--q", "2", "--t", "4",
+          "--p", "2"], "C(100000, 3) edges are above the limit"),
+        (["exact-oracle", "--k", "2", "--n", "2000", "--q", "2", "--t", "3",
+          "--p", "2"], "above the limit"),
+        (["exact-oracle", "--k", "1", "--n", "2000", "--q", "2", "--t", "3",
+          "--p", "2"], "C(2000, 3) t-sets are above the limit"),
+        (["burr-erdos", "--n", "2000"], "vertices are above the limit"),
+        (["burr-erdos", "--n", "448"], "vertices are above the limit"),
+        (["hedgehog", "build", "--t", "40", "--k", "21", "--s", "20"],
+         "vertices are above the limit"),
+        # preset sample counts below 1
+        (["preset", "--name", "cor-five-colours", "--samples", "0"], "--samples"),
+        (["preset", "--name", "cor-five-colours", "--samples", "-3"], "--samples"),
     ]
     for argv, needle in cases:
         code, _, err = run(capsys, *argv)
@@ -241,6 +263,9 @@ def test_malformed_witness_exit_2(tmp_path, capsys):
         {"witness_kind": "rainbow-violation", "colouring": spec,
          "violating_set": 5, "p": "2"},  # ill-typed set
         ["not", "an", "object"],
+        # a random colouring spec above the size limit
+        {"witness_kind": "rainbow-violation", "colouring": {**spec, "n": "3000"},
+         "violating_set": ["1", "2"], "p": "2", "config": {"t": "2"}},
     ]
     for i, doc in enumerate(docs):
         wit = tmp_path / f"w{i}.json"

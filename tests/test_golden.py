@@ -228,6 +228,20 @@ def test_golden_text_report(argv, code, _json, digest, workdir, capsys):
     assert _digest(argv, "text", capsys) == (code, digest)
 
 
+@pytest.mark.parametrize("argv, code", [g[:2] for g in GOLDEN], ids=IDS)
+def test_golden_output_file_matches_stdout(argv, code, workdir, capsys):
+    # --output FILE gets the bytes stdout would get, and stdout gets none
+    args = argv.split() + ["--format", "json"]
+    if "--output" in args:
+        i = args.index("--output")
+        del args[i:i + 2]
+    assert main(args) == code
+    out = capsys.readouterr().out
+    assert main(args + ["--output", "report.out"]) == code
+    assert capsys.readouterr().out == ""
+    assert Path("report.out").read_bytes() == out.encode()
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_golden_lifted_verify(fmt, workdir, capsys, monkeypatch):
     argv, code, digests = LIFTED

@@ -1,4 +1,5 @@
-"""Package layout: the modules import one another without a cycle."""
+"""Package layout: the modules import one another without a cycle, and the
+CLI writes reports and builds base colourings in one place each."""
 
 import ast
 import pathlib
@@ -61,3 +62,31 @@ def test_relative_imports_are_acyclic():
     assert "stepup" in graph and "hedgehog" in graph["cli"]
     cycle = find_cycle(graph)
     assert cycle is None, " -> ".join(cycle)
+
+
+def calls_by_function(path):
+    """``{function name: [dotted callee, ...]}`` for the top-level functions
+    of ``path``; a callee is ``f`` or ``module.f``."""
+    out = {}
+    for fn in ast.parse(path.read_text(), filename=str(path)).body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        names = out.setdefault(fn.name, [])
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Name):
+                names.append(f.id)
+            elif isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
+                names.append(f"{f.value.id}.{f.attr}")
+    return out
+
+
+def test_cli_has_one_way_out_and_one_base_loader():
+    calls = calls_by_function(PACKAGE / "cli.py")
+    emitters = [name for name, callees in calls.items() for c in callees if c == "_emit"]
+    assert emitters == ["main"]
+    builders = {"stepup.random_colouring", "stepup.parse_tabulated"}
+    loaders = sorted(name for name, callees in calls.items() if builders & set(callees))
+    assert loaders == ["_load_base"]
