@@ -63,7 +63,6 @@ from .stepup import (
 from .rainbow import (
     RainbowReport,
     exact_rainbow_exists,
-    first_moment_params,
     search_random_rainbow,
     verify_rainbow,
 )
@@ -74,7 +73,6 @@ from .hedgehog import (
     build_hedgehog,
     burr_erdos_pair,
     degeneracy,
-    extract_sunflower,
     find_mono_hedgehog,
     piercing_number,
     verify_hedgehog_spread,

@@ -3,11 +3,10 @@
 Exit codes: 0 on success/pass, 1 on a verified failure (for example a
 rainbow violation found or an exact non-existence result), 2 on parameter,
 file-format, budget or internal errors and on a constructive search that
-ran out of attempts (one line on stderr, never a traceback).
-``RAMSEY_BUDGET`` overrides the default work budget.  All files are UTF-8
-with LF line endings, ``#`` starts a comment and blank lines are skipped;
-sequence files hold whitespace-separated integers; vertex indices in
-reports are 1-based.
+ran out of attempts (one line on stderr, never a traceback).  All files
+are UTF-8 with LF line endings, ``#`` starts a comment and blank lines are
+skipped; sequence files hold whitespace-separated integers; vertex indices
+in reports are 1-based.
 
 Each ``cmd_*`` handler returns ``(report, exit code)`` and writes no
 report itself: ``main`` writes the report once, as JSON or text, to stdout
@@ -19,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 
@@ -602,7 +600,7 @@ def _add_common(p, root: bool):
     p.add_argument(
         "--budget",
         type=int,
-        default=d(int(os.environ.get("RAMSEY_BUDGET", DEFAULT_BUDGET))),
+        default=d(DEFAULT_BUDGET),
         help="work budget in elementary edge evaluations",
     )
     p.add_argument("--workers", type=int, default=d(1))

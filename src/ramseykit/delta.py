@@ -34,7 +34,6 @@ __all__ = [
     "realize_max_induced",
     "realize_separated",
     "parse_vertex_file",
-    "format_vertex_file",
 ]
 
 
@@ -49,16 +48,11 @@ class BinVertex:
     def __post_init__(self):
         if self.width < 1:
             raise ParameterError("width must be positive")
-        if not 0 <= self.value < (1 << self.width):
+        # compare bit lengths: 1 << width would build a width-bit integer
+        if not (self.value >= 0 and self.value.bit_length() <= self.width):
             raise ParameterError(
                 f"value {self.value} out of range for width {self.width}"
             )
-
-    def coordinate(self, i: int) -> int:
-        """The i-th coordinate (1-based, least significant first)."""
-        if not 1 <= i <= self.width:
-            raise ParameterError(f"coordinate {i} out of range 1..{self.width}")
-        return (self.value >> (i - 1)) & 1
 
     def _check_same_width(self, other: "BinVertex"):
         if self.width != other.width:
@@ -253,12 +247,3 @@ def parse_vertex_file(text: str, path=None) -> tuple[BinVertex, ...]:
         except ParameterError as exc:
             raise FileFormatError(str(exc), path=path, line=lineno) from None
     return tuple(out)
-
-
-def format_vertex_file(vertices) -> str:
-    vs = tuple(vertices)
-    if not vs:
-        raise ParameterError("at least one vertex is required")
-    lines = [f"m={vs[0].width}"]
-    lines.extend(str(v.value) for v in vs)
-    return "\n".join(lines) + "\n"

@@ -1,5 +1,5 @@
 """Body-and-spine hypergraphs, the spread of set-valued lifted colourings,
-piercing numbers, sunflowers, a constructive monochromatic-copy finder,
+piercing numbers, a constructive monochromatic-copy finder,
 and the two-part host colouring showing that bounded degeneracy does not
 bound 3-uniform Ramsey numbers linearly.
 
@@ -39,10 +39,8 @@ __all__ = [
     "build_hedgehog",
     "degeneracy",
     "peel_trace",
-    "peel_incidences",
     "PiercingResult",
     "piercing_number",
-    "extract_sunflower",
     "LiftedColouring",
     "lift_colouring",
     "SpreadReport",
@@ -79,9 +77,6 @@ class Hypergraph:
             if e in seen:
                 raise ParameterError(f"duplicate edge {e}")
             seen.add(e)
-
-    def incident(self, v: int) -> list[tuple[int, ...]]:
-        return [e for e in self.edges if v in e]
 
 
 @dataclass(frozen=True)
@@ -141,15 +136,6 @@ def build_hedgehog(t: int, k: int, s: int) -> Hedgehog:
 # Degeneracy by peeling
 # ---------------------------------------------------------------------------
 
-def _incidence_lists(h: Hypergraph) -> dict[int, list[int]]:
-    """Indices into ``h.edges`` of the edges at each vertex."""
-    incident = {v: [] for v in h.vertices}
-    for i, e in enumerate(h.edges):
-        for v in e:
-            incident[v].append(i)
-    return incident
-
-
 def peel_trace(h: Hypergraph) -> list[tuple[int, int]]:
     """Remove a minimum-incidence vertex (smallest label on ties) until no
     vertices remain; return the (vertex, incidence-at-removal) trace.
@@ -160,7 +146,10 @@ def peel_trace(h: Hypergraph) -> list[tuple[int, int]]:
     dropped, and a vertex enters each bucket at most once, so the peel
     takes O((V + rE) log V) time.
     """
-    incident = _incidence_lists(h)
+    incident = {v: [] for v in h.vertices}  # edge indices at each vertex
+    for i, e in enumerate(h.edges):
+        for v in e:
+            incident[v].append(i)
     deg = {v: len(es) for v, es in incident.items()}
     buckets = [[] for _ in range(max(deg.values(), default=0) + 1)]
     for v in sorted(deg):  # sorted lists are heaps
@@ -195,24 +184,8 @@ def degeneracy(h: Hypergraph) -> int:
     return max((d for _, d in trace), default=0)
 
 
-def peel_incidences(h: Hypergraph, order) -> list[tuple[int, int]]:
-    """Incidence of each vertex at its removal time under a given order."""
-    order = list(order)
-    if sorted(order) != sorted(h.vertices):
-        raise ParameterError("order must list every vertex exactly once")
-    incident = _incidence_lists(h)
-    dead = [False] * len(h.edges)
-    out = []
-    for v in order:
-        inc = [i for i in incident[v] if not dead[i]]
-        out.append((v, len(inc)))
-        for i in inc:
-            dead[i] = True
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Piercing numbers and sunflowers
+# Piercing numbers
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -235,14 +208,11 @@ class PiercingResult:
 def piercing_number(
     h: Hypergraph,
     a,
-    colouring: Colouring | None = None,
-    colour=None,
     budget: int = DEFAULT_BUDGET,
 ) -> PiercingResult:
     """Exact minimum hitting set over the edges of ``h`` containing ``a``.
 
-    ``a`` is a vertex set with fewer than r elements; optionally only
-    edges of one colour (under ``colouring``) are considered.  Vertices of
+    ``a`` is a vertex set with fewer than r elements.  Vertices of
     ``a`` itself are not allowed to pierce.  Branch-and-bound is exact
     within the budget; if the budget runs out the result carries certified
     bounds with ``exact=False`` instead of raising.
@@ -250,12 +220,7 @@ def piercing_number(
     a = frozenset([a] if isinstance(a, int) else a)
     if len(a) >= h.r:
         raise ParameterError(f"|A| = {len(a)} must be below the uniformity {h.r}")
-    rests = []
-    for e in h.edges:
-        if a <= set(e):
-            if colour is not None and colouring.colour(e) != colour:
-                continue
-            rests.append(frozenset(e) - a)
+    rests = [frozenset(e) - a for e in h.edges if a <= set(e)]
     return _min_hitting_set(rests, budget)
 
 
@@ -313,31 +278,6 @@ def _min_hitting_set(sets, budget: int) -> PiercingResult:
                 used |= s
         return PiercingResult(lower, best_size, tuple(best), False)
     return PiercingResult(best_size, best_size, tuple(best), True)
-
-
-def extract_sunflower(h: Hypergraph, v: int, m: int, budget: int = DEFAULT_BUDGET):
-    """``m`` edges through ``v`` whose pairwise intersections are exactly {v}.
-
-    Greedy selection over the edges at ``v`` in sorted order; guaranteed to
-    succeed whenever the piercing number of ``v`` is at least (r-1)*m,
-    which is checked first (the failing value is reported otherwise).
-    """
-    if m < 1:
-        raise ParameterError("m must be positive")
-    tau = piercing_number(h, v, budget=budget)
-    if tau.value < (h.r - 1) * m:
-        raise PreconditionError(
-            f"piercing number of {v} is {tau.value}, below (r-1)*m = "
-            f"{(h.r - 1) * m}"
-        )
-    chosen = _disjoint_star(sorted(h.incident(v)), v, m)
-    if len(chosen) == m:
-        return tuple(chosen)
-    raise IncompleteSearchError(
-        "greedy selection fell short despite the piercing bound",
-        stage="sunflower-greedy",
-        details={"found": len(chosen), "wanted": m},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -671,22 +611,6 @@ def _general_danger(colouring, n, k, thr, c1, c2, budget):
         elif t2.value < thr:
             danger[e] = c2
     return danger
-
-
-def _disjoint_star(edges, v, m):
-    """Greedy pick, in the given order, of up to ``m`` edges whose pairwise
-    intersections are exactly {v}; shorter when the edges run out."""
-    chosen = []
-    used: set[int] = set()
-    for e in edges:
-        rest = set(e) - {v}
-        if rest & used:
-            continue
-        chosen.append(e)
-        used |= rest
-        if len(chosen) == m:
-            break
-    return chosen
 
 
 def _find_private(colouring, sub, target, used, n, k):

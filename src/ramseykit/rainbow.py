@@ -14,7 +14,6 @@ import math
 import os
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import BudgetExceededError, DEFAULT_BUDGET, ParameterError
 from .stepup import Colouring, TabulatedColouring, random_colouring
@@ -23,14 +22,9 @@ from .stepup import _check_built, _comb_upto
 __all__ = [
     "RainbowReport",
     "verify_rainbow",
-    "FirstMomentParams",
-    "first_moment_params",
-    "expected_low_span_count",
     "search_random_rainbow",
     "exact_rainbow_exists",
 ]
-
-DESK_UNIVERSE_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -199,59 +193,6 @@ def _sample_set(rng, n, t):
     while len(got) < t:
         got.add(1 + rng.randrange(n))
     return tuple(sorted(got))
-
-
-@dataclass(frozen=True)
-class FirstMomentParams:
-    """Parameters under which a uniformly random colouring is expected to
-    be (t, q)-rainbow: epsilon = 1/(q*k!), threshold t0 = ceil(e*q), and
-    universe size n = ceil(2^(epsilon*t^(k-1))), capped (and flagged) at
-    desk scale."""
-
-    epsilon: Fraction
-    n: int
-    t0: int
-    capped: bool
-    log2_n: Fraction
-
-
-def first_moment_params(k: int, q: int, t: int, cap: int = DESK_UNIVERSE_CAP) -> FirstMomentParams:
-    if k < 1 or q < 1 or t < 1:
-        raise ParameterError("k, q, t must be positive")
-    eps = Fraction(1, q * math.factorial(k))
-    t0 = math.ceil(math.e * q)
-    exponent = eps * t ** (k - 1)
-    if exponent >= cap.bit_length():
-        # 2^exponent > cap without computing it: 2 ** float(exponent)
-        # overflows once the exponent passes about 1024
-        n = cap + 1
-    elif exponent.denominator == 1:
-        n = 1 << exponent.numerator
-    else:
-        n = math.ceil(2 ** float(exponent))
-    capped = n > cap
-    return FirstMomentParams(
-        epsilon=eps,
-        n=min(n, cap) if capped else n,
-        t0=t0,
-        capped=capped,
-        log2_n=exponent,
-    )
-
-
-def expected_low_span_count(n: int, t: int, k: int, q: int) -> float:
-    """Expected number of t-sets spanning fewer than q colours under a
-    uniformly random q-colouring: C(n,t) * q * (1 - 1/q)^C(t,k)."""
-    if n < t:
-        return 0.0
-    log = (
-        math.lgamma(n + 1)
-        - math.lgamma(t + 1)
-        - math.lgamma(n - t + 1)
-        + math.log(q)
-        + math.comb(t, k) * math.log1p(-1.0 / q)
-    )
-    return math.exp(log)
 
 
 def search_random_rainbow(

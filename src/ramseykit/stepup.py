@@ -654,6 +654,11 @@ class LiftedColouring(Colouring):
             for combo in itertools.combinations(self.base.palette(), self.p)
         ]
 
+    @property
+    def budget(self) -> int:
+        # C(q, p) without listing the palette, which can run to 10^7 sets
+        return math.comb(self.base.budget, self.p)
+
 
 def lift_colouring(base: Colouring, k: int) -> LiftedColouring:
     return LiftedColouring(base, k)
@@ -722,15 +727,6 @@ def parse_schedule(text: str, path=None):
             )
         steps.append((toks[0], *ints(toks[1:], "integer", path, lineno)))
     return base_spec, steps
-
-
-def format_schedule(base_spec, raw_steps) -> str:
-    lines = []
-    if base_spec is not None:
-        lines.append("base " + " ".join(str(x) for x in base_spec))
-    for name, k, p in raw_steps:
-        lines.append(f"{name} {k} {p}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -346,6 +346,15 @@ def test_delta_subcommand(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["deltas"] == ["1", "2", "3"]
     assert doc["unique_and_max"] is True
+    # a huge declared width is only a number: the values are checked by
+    # their bit lengths, and a value past the width is refused at its line
+    for m in (1 << 64, 10**12):
+        vf.write_text(f"m={m}\n1\n2\n4\n")
+        code, out, err = run(capsys, "delta", "--vertex-file", str(vf))
+        assert (code, err) == (0, "") and "deltas: 2 3" in out
+    vf.write_text("m=3\n3\n8\n")
+    code, _, err = run(capsys, "delta", "--vertex-file", str(vf))
+    assert code == 2 and "verts.txt:3: value 8 out of range for width 3" in err
 
 
 def test_hedgehog_build_and_degeneracy(tmp_path, capsys):
@@ -412,14 +421,17 @@ def test_separated_subcommand(tmp_path, capsys):
     assert "witness_kind" not in doc and "witnesses" not in doc
 
 
-def test_budget_env_override(tmp_path, capsys, monkeypatch):
+def test_budget_env_override(capsys, monkeypatch):
+    """Only ``--budget`` sets the work budget; the environment does not."""
+    verify = ["verify", "--random-base", "2", "6", "2", "1", "--t", "4", "--p", "2"]
+    assert run(capsys, *verify)[0] == 0
+    code, _, err = run(capsys, *verify, "--budget", "10")
+    assert code == 2 and "budget is 10" in err
     monkeypatch.setenv("RAMSEY_BUDGET", "10")
-    sched = tmp_path / "t.txt"
-    sched.write_text("base random 3 6 3 42\nup1 3 5\n")
-    code, _, err = run(
-        capsys, "verify", "--schedule", str(sched), "--t", "8", "--p", "3"
-    )
-    assert code == 2 and "budget" in err.lower()
+    assert run(capsys, *verify)[0] == 0
+    monkeypatch.setenv("RAMSEY_BUDGET", "abc")
+    code, out, err = run(capsys, "pattern", "--seq", "1 2")
+    assert code == 0 and "pattern: 1 2" in out and not err
 
 
 def test_hedgehog_lift_and_piercing(tmp_path, capsys):

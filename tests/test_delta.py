@@ -69,6 +69,10 @@ def test_wide_vertices():
     w = B((1 << 150) | 1, m)
     assert dl.delta(v, w) == 1
     assert dl.delta(B(0, m), v) == 151
+    # the range check reads bit lengths and never builds 2^width, so huge
+    # widths cost nothing; 2^64 bits would not fit any address space
+    for m in (1 << 64, 10**12):
+        assert dl.delta(B(5, m), B(6, m)) == 2
 
 
 def test_delta_sequence_examples():
@@ -178,9 +182,7 @@ def test_delta_classes_count_every_subset():
 
 
 def test_vertex_file_roundtrip_and_errors():
-    vs = (B(3, 5), B(9, 5), B(31, 5))
-    text = dl.format_vertex_file(vs)
-    assert dl.parse_vertex_file(text) == vs
+    assert dl.parse_vertex_file("m=5\n3\n9\n31\n") == (B(3, 5), B(9, 5), B(31, 5))
     with pytest.raises(FileFormatError):
         dl.parse_vertex_file("0\n1\n")  # missing header
     with pytest.raises(FileFormatError):

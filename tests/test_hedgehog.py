@@ -1,4 +1,4 @@
-"""Body-and-spine hypergraphs, piercing, sunflowers, lifting, the
+"""Body-and-spine hypergraphs, piercing, lifting, the
 monochromatic-copy finder, and the two-part host colouring."""
 
 import collections
@@ -146,8 +146,6 @@ def test_peel_matches_reference_loop():
     for _ in range(300):
         h = random_hypergraph(rng)
         assert hh.peel_trace(h) == reference_peel_trace(h)
-        order = rng.sample(h.vertices, len(h.vertices))
-        assert hh.peel_incidences(h, order) == reference_peel_incidences(h, order)
     h, _ = hh.burr_erdos_pair(8)
     assert hh.peel_trace(h) == reference_peel_trace(h)
 
@@ -181,15 +179,6 @@ def test_piercing_matches_enumeration():
         rests = [set(e) - {v} for e in edges if v in e]
         assert res.value == oracle_min_hitting_set(rests)
         assert all(set(r) & set(res.witness) for r in rests)
-
-
-def test_piercing_colour_restriction():
-    edges = tuple(sorted(itertools.combinations(range(1, 6), 3)))
-    h = hh.Hypergraph(3, tuple(range(1, 6)), edges)
-    table = {e: (("base", 1) if 2 in e else ("base", 2)) for e in edges}
-    c = su.TabulatedColouring(3, 5, table, [("base", 1), ("base", 2)])
-    res = hh.piercing_number(h, 1, colouring=c, colour=("base", 1))
-    assert res.value == 1 and res.witness == (2,)
 
 
 def reference_min_hitting_set(sets, budget):
@@ -262,42 +251,6 @@ def test_min_hitting_set_matches_reference_dfs():
             ), (sets, budget)
 
 
-# --- sunflowers -----------------------------------------------------------------
-
-def test_sunflower_guard_and_greedy():
-    star = hh.Hypergraph(2, tuple(range(1, 8)), tuple(sorted((1, u) for u in range(2, 8))))
-    out = hh.extract_sunflower(star, 1, 6)
-    assert len(out) == 6
-    petals = hh.Hypergraph(
-        3, tuple(range(1, 10)), tuple(sorted((1, 2 * i, 2 * i + 1) for i in range(1, 5)))
-    )
-    out = hh.extract_sunflower(petals, 1, 2)
-    for e, f in itertools.combinations(out, 2):
-        assert set(e) & set(f) == {1}
-    with pytest.raises(PreconditionError, match="piercing number"):
-        hh.extract_sunflower(petals, 1, 3)
-    lonely = hh.Hypergraph(3, (1, 2, 3, 4), ((2, 3, 4),))
-    with pytest.raises(PreconditionError):
-        hh.extract_sunflower(lonely, 1, 1)
-
-
-def test_sunflower_random_instances():
-    rng = random.Random(23)
-    for _ in range(200):
-        n = rng.randint(5, 12)
-        all_edges = [e for e in itertools.combinations(range(1, n + 1), 3) if 1 in e]
-        edges = tuple(sorted(rng.sample(all_edges, rng.randint(1, len(all_edges)))))
-        h = hh.Hypergraph(3, tuple(range(1, n + 1)), edges)
-        tau = hh.piercing_number(h, 1).value
-        m = tau // 2
-        if m < 1:
-            continue
-        out = hh.extract_sunflower(h, 1, m)
-        assert len(out) == m
-        for e, f in itertools.combinations(out, 2):
-            assert set(e) & set(f) == {1}
-
-
 # --- lifting --------------------------------------------------------------------
 
 def lifted_colour_oracle(base, e, p):
@@ -358,6 +311,20 @@ def test_lift_budget_and_padding():
     tiny = su.random_colouring(2, 8, 2, seed=0)
     with pytest.raises(ParameterError):
         hh.lift_colouring(tiny, 3)
+
+
+def test_lift_budget_counts_colour_sets_without_listing_them():
+    up2 = su.step_up_2(su.random_colouring(2, 4, 6, seed=1), 2)
+    for base, k in ((su.random_colouring(2, 8, 4, seed=3), 3), (up2, 5)):
+        lifted = hh.lift_colouring(base, k)
+        assert lifted.budget == len(lifted.palette())
+    lifted = hh.lift_colouring(su.random_colouring(2, 12, 60, seed=1), 4)
+
+    def refuse():
+        raise AssertionError("listed all C(60, 6) colour sets")
+
+    lifted._palette = refuse
+    assert lifted.budget == math.comb(60, 6) == 50063860
 
 
 def test_spread_certification():
@@ -552,7 +519,7 @@ def test_burr_erdos_spine_order_peel_stays_at_most_8():
         h, _ = hh.burr_erdos_pair(n)
         base = list(range(1, n + 1))
         spine = [v for v in h.vertices if v > n]
-        out = hh.peel_incidences(h, spine + base)
+        out = reference_peel_incidences(h, spine + base)
         assert all(inc <= 8 for _, inc in out)
 
 

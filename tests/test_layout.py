@@ -1,5 +1,7 @@
-"""Package layout: the modules import one another without a cycle, and the
-CLI writes reports and builds base colourings in one place each."""
+"""Package layout: the modules import one another without a cycle, the
+CLI writes reports and builds base colourings in one place each, and every
+public name of the library is reached by a command, the benchmark or an
+acceptance test."""
 
 import ast
 import pathlib
@@ -7,6 +9,7 @@ import pathlib
 import ramseykit
 
 PACKAGE = pathlib.Path(ramseykit.__file__).parent
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def relative_imports(path, modules):
@@ -90,3 +93,69 @@ def test_cli_has_one_way_out_and_one_base_loader():
     builders = {"stepup.random_colouring", "stepup.parse_tabulated"}
     loaders = sorted(name for name, callees in calls.items() if builders & set(callees))
     assert loaders == ["_load_base"]
+
+
+def public_names(path):
+    """``(name, line)`` of each public top-level function or class of
+    ``path`` and of each public method of a public class."""
+    out = []
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
+            out.append((node.name, node.lineno))
+            if isinstance(node, ast.ClassDef):
+                out.extend(
+                    (f"{node.name}.{m.name}", m.lineno)
+                    for m in node.body
+                    if isinstance(m, ast.FunctionDef) and m.name[0] != "_"
+                )
+    return out
+
+
+def referenced_names(path):
+    """Every name ``path`` reads: ``f`` in ``f(...)`` and ``m`` in ``x.m``.
+    Definitions and the strings of ``__all__`` are not references."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def unreached(modules, sources):
+    """Public names of ``modules`` that no file of ``sources`` reads."""
+    used = set().union(*map(referenced_names, sources))
+    return [
+        f"{path.name}:{line}: {name}"
+        for path in modules
+        for name, line in public_names(path)
+        if name.rpartition(".")[2] not in used
+    ]
+
+
+def test_unreached_flags_unread_names(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text(
+        "__all__ = ['used', 'unused']\n"
+        "def used(): pass\n"
+        "def unused(): pass\n"
+        "class K:\n"
+        "    def read(self): pass\n"
+        "    def idle(self): pass\n"
+        "    def _private(self): pass\n"
+    )
+    app = tmp_path / "app.py"
+    app.write_text("used(K().read())\n")
+    assert unreached([lib], [lib, app]) == ["lib.py:3: unused", "lib.py:6: K.idle"]
+
+
+def test_every_public_name_is_reached():
+    """A public function, class or method is read by another library
+    module, the benchmark or an acceptance test; one read only by its own
+    unit tests, or by ``__init__`` and ``__all__``, is dead code."""
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    bench = sorted((ROOT / "bench").glob("*.py"))
+    assert modules and bench
+    sources = modules + bench + [ROOT / "tests" / "test_acceptance.py"]
+    assert unreached(modules, sources) == []

@@ -1,10 +1,8 @@
-"""Rainbow verification, random search, first-moment arithmetic, and the
-exact existence oracle."""
+"""Rainbow verification, random search, and the exact existence oracle."""
 
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -181,33 +179,6 @@ def test_t_beyond_n():
         rb.verify_rainbow(pentagon(), 7, 2, mode="sampled", trials=5)
     rep = rb.verify_rainbow(pentagon(), 5, 2, mode="sampled", trials=3)
     assert rep.passed and rep.sets_checked == 3  # t = n samples the one set
-
-
-def test_first_moment_params():
-    fm = rb.first_moment_params(3, 2, 10)
-    assert fm.epsilon == Fraction(1, 12)
-    fm = rb.first_moment_params(2, 2, 8)
-    assert fm.n == 4 and not fm.capped
-    fm = rb.first_moment_params(2, 3, 5)
-    assert fm.t0 == 9
-    fm = rb.first_moment_params(3, 2, 50)
-    assert fm.capped and fm.n == rb.DESK_UNIVERSE_CAP
-    # log2 n = 40000/3 is far past the float range of 2 ** exponent
-    fm = rb.first_moment_params(3, 2, 400)
-    assert fm.capped and fm.n == rb.DESK_UNIVERSE_CAP
-    assert fm.log2_n == Fraction(40000, 3)
-
-
-def test_expected_count_below_one_on_grid():
-    # at the returned universe size the expected number of low-span sets
-    # is below one for thresholds past t0
-    for k, q in [(2, 2), (2, 3), (3, 2), (3, 3)]:
-        fm0 = rb.first_moment_params(k, q, 1)
-        t = fm0.t0 + 1
-        fm = rb.first_moment_params(k, q, t)
-        if fm.capped:
-            continue
-        assert rb.expected_low_span_count(fm.n, t, k, q) < 1.0, (k, q, t)
 
 
 def test_search_random_rainbow():

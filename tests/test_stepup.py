@@ -323,7 +323,6 @@ def test_schedule_parsing_roundtrip():
     spec, steps = su.parse_schedule(text)
     assert spec == ("random", 3, 6, 3, 42)
     assert steps == [("up1", 3, 5), ("up2", 4, 10), ("lift", 8, 9)]
-    assert su.format_schedule(spec, steps) == text
     assert su.parse_schedule("# tower\n\n" + text.replace("\n", " # step\n")) == (
         spec, steps
     )
