@@ -462,13 +462,25 @@ def _random_base(args, k, n, q, t, p):
     return got
 
 
-def _witness_stage(c, sets, sizes, seed):
-    """Sample vertex subsets and hunt forced-colour witnesses in each."""
+def _witness_stage(c, sets, sizes, seed, budget):
+    """Sample vertex subsets and hunt forced-colour witnesses in each.
+
+    Before drawing, the budget is charged the edges one witness
+    re-colours, ``c.forced_colours``, per sampled set; more than
+    ``budget`` raises BudgetExceededError."""
+    work = sets * c.forced_colours
+    if work > budget:
+        raise BudgetExceededError(
+            f"{sets} sampled witnesses re-colour up to {work} edges, "
+            f"budget is {budget}",
+            estimate=work,
+            budget=budget,
+        )
     rng = random.Random(seed)
     outcomes = {"p-colours": 0, "branch": 0}
     examples = []
     for i in range(sets):
-        vs = sorted(rng.sample(range(1, c.num_vertices + 1), sizes))
+        vs = stepup._sample_set(rng, c.num_vertices, sizes)
         rep = stepup.witness_p_colours(c, vs)
         outcomes[rep.outcome] += 1
         if not rep.revalidate(c, vs):
@@ -506,7 +518,8 @@ def _preset_five_colours(args):
         "universe": stepped.num_vertices,
         "uniformity": stepped.uniformity,
     })
-    outcomes, examples = _witness_stage(stepped, args.samples, 40, args.seed)
+    outcomes, examples = _witness_stage(stepped, args.samples, 40, args.seed,
+                                        args.budget)
     stages.append({
         "stage": "sampled witnesses",
         "outcomes": outcomes,
@@ -521,7 +534,8 @@ def _preset_three_three(args):
     base, _, attempts = _random_base(args, 3, n0, q, t, 3)
     part = stepup.partition_patterns(3, 5)
     stepped = stepup.step_up_1b(base, part)
-    outcomes, examples = _witness_stage(stepped, args.samples, 40, args.seed)
+    outcomes, examples = _witness_stage(stepped, args.samples, 40, args.seed,
+                                        args.budget)
     stages = [
         {"stage": "random base", "attempts": attempts,
          "description": f"({t};{q},{q})-rainbow colouring of the 3-subsets of 1..{n0}"},
@@ -541,7 +555,7 @@ def _preset_hedgehog_lower(args):
     lifted = hedgehog.lift_colouring(base, 3)
     spread = hedgehog.verify_hedgehog_spread(
         lifted, t, 1, base_report=base_report, embeddings=args.samples,
-        seed=args.seed,
+        seed=args.seed, budget=args.budget,
     )
     stages = [
         {"stage": "random base", "attempts": attempts,
@@ -695,7 +709,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--export")
     p.add_argument("--check", choices=("exhaustive", "sampled"))
-    p.add_argument("--sample", type=int, default=10**6)
+    p.add_argument(
+        "--sample", type=int, default=10**6,
+        help="trials of --check sampled; drawn only when a part-profile class fails",
+    )
     p.set_defaults(func=cmd_burr_erdos)
 
     p = sub.add_parser("preset", help="composition recipes at desk scale")

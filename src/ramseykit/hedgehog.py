@@ -30,7 +30,8 @@ from .errors import (
     ints,
     records,
 )
-from .stepup import Colouring, LiftedColouring, _comb_upto, colour_str, lift_colouring
+from .stepup import Colouring, LiftedColouring, _comb_upto, _sample_set, colour_str
+from .stepup import lift_colouring
 from . import rainbow as _rainbow
 
 __all__ = [
@@ -317,6 +318,7 @@ def verify_hedgehog_spread(
     base_report=None,
     embeddings: int = 1000,
     seed: int = 0,
+    budget: int = DEFAULT_BUDGET,
 ) -> SpreadReport:
     """Certify the pigeonhole chain for every body and spot-check embeddings.
 
@@ -324,7 +326,10 @@ def verify_hedgehog_spread(
     (done here when no passing report is supplied).  Every t-set body is
     then certified, and ``embeddings`` random placements with random
     disjoint private vertices are evaluated through the lifted colouring;
-    each must span at least p'+1 distinct colour sets.
+    each must span at least p'+1 distinct colour sets.  Before any
+    placement is drawn the budget is charged C(t, s) lifted colours per
+    embedding, one per spine edge, and BudgetExceededError is raised if
+    that exceeds ``budget``.
     """
     base = lifted.base
     s = base.uniformity
@@ -358,8 +363,16 @@ def verify_hedgehog_spread(
     min_lifted = None
     done = 0
     if t + n_priv <= n:
+        work = embeddings * math.comb(t, s)
+        if work > budget:
+            raise BudgetExceededError(
+                f"spread check of {embeddings} embeddings needs {work} lifted "
+                f"colours, budget is {budget}",
+                estimate=work,
+                budget=budget,
+            )
         for _ in range(embeddings):
-            body = sorted(rng.sample(range(1, n + 1), t))
+            body = _sample_set(rng, n, t)
             in_body = set(body)
             pool = [v for v in range(1, n + 1) if v not in in_body]
             rng.shuffle(pool)
@@ -453,7 +466,7 @@ def find_mono_hedgehog(
     both counts (impossible at k = 1, as the comment there shows); stage 3
     greedily finds a body avoiding endangered sets of the majority side;
     stage 4 grows the spine greedily, one fresh host edge per
-    (k+1)-subset of the body.
+    (k+1)-subset of the body, so t must be at least k + 1.
     The thresholds are guaranteed to work out only for universes of size
     t^(k+3) and beyond with t large; every one of them is checked at
     runtime and failures are reported with the failing stage.
@@ -462,6 +475,11 @@ def find_mono_hedgehog(
     if r % 2 != 1 or r < 3:
         raise ParameterError(f"uniformity must be odd and >= 3, got {r}")
     k = (r - 1) // 2
+    if t < k + 1:
+        raise ParameterError(
+            f"t = {t} is below k + 1 = {k + 1}: the body has no "
+            f"{k + 1}-subset, so the copy would have no edge"
+        )
     n = colouring.num_vertices
     need_vertices = t + k * math.comb(t, k + 1)
     if n < need_vertices:
@@ -714,45 +732,45 @@ class BurrErdosHost(Colouring):
         """Check that every 5-subset (or each of ``trials`` sampled ones)
         contains a blue triple.
 
-        Part-profile contract: the colour of a triple depends only on which
+        Block-shape contract: the colour of a triple depends only on which
         of its vertices share a part, so the verdict of a 5-set depends only
-        on its part profile.  The exhaustive scan checks the least member of
-        each class of :meth:`classes`; on a pass ``checked`` is C(N, 5), on
-        a failure the violating set is the least member of the least
+        on its block shape, the sorted sizes of its nonempty parts.  Both
+        modes check the least member of each class of :meth:`classes`, one
+        per shape.  Exhaustive: on a pass ``checked`` is C(N, 5); on a
+        failure the violating set is the least member of the least
         violating class and ``checked`` is its lexicographic rank + 1, as a
-        set-by-set scan in lexicographic order would report.  The sampled
-        scan draws ``tuple(sorted(rng.sample(range(1, N + 1), 5)))`` from
-        ``random.Random(seed)`` for each trial and checks a set only when
-        its tuple of part indices has not passed before.
+        set-by-set scan in lexicographic order would report.  Sampled: when
+        every class passes, so does every set, and the pass reports
+        ``checked`` = ``trials`` without drawing a set.  Otherwise it draws
+        ``_sample_set(random.Random(seed), N, 5)`` per trial and stops at
+        the first set of a failing shape, re-checked by :meth:`_has_blue`.
         The report holds ``passed``, ``mode``, ``checked``, on failure the
         ``violating_set``, and the ``seed`` of a sampled scan.
         """
-        n = self.num_vertices
-        if mode == "exhaustive":
-            checked = 0
-            for least, count in self.classes(5):
-                if not self._has_blue(least):
-                    return {"passed": False, "mode": mode,
-                            "checked": _lex_rank(least, n) + 1,
-                            "violating_set": list(least), "seed": None}
-                checked += count
-            return {"passed": True, "mode": mode, "checked": checked, "seed": None}
-        if mode != "sampled":
+        if mode not in ("exhaustive", "sampled"):
             raise ParameterError(f"unknown mode {mode!r}")
-        if trials < 1:
+        if mode == "sampled" and trials < 1:
             raise ParameterError(f"trials = {trials}, must be at least 1")
-        rng = random.Random(seed)
-        sample, population, part_of = rng.sample, range(1, n + 1), self.part_of
-        passed = set()
-        for checked in range(1, trials + 1):
-            s5 = tuple(sorted(sample(population, 5)))
-            key = tuple(map(part_of, s5))
-            if key in passed:
-                continue
-            if not self._has_blue(s5):
-                return {"passed": False, "mode": mode, "checked": checked,
-                        "violating_set": list(s5), "seed": seed}
-            passed.add(key)
+        n = self.num_vertices
+        failing = [least for least, _ in self.classes(5) if not self._has_blue(least)]
+        if mode == "exhaustive":
+            if failing:
+                return {"passed": False, "mode": mode,
+                        "checked": _lex_rank(failing[0], n) + 1,
+                        "violating_set": list(failing[0]), "seed": None}
+            return {"passed": True, "mode": mode, "checked": math.comb(n, 5),
+                    "seed": None}
+        if failing:
+            def shape(s5):
+                return sorted(collections.Counter(map(self.part_of, s5)).values())
+
+            shapes = list(map(shape, failing))
+            rng = random.Random(seed)
+            for checked in range(1, trials + 1):
+                s5 = _sample_set(rng, n, 5)
+                if shape(s5) in shapes and not self._has_blue(s5):
+                    return {"passed": False, "mode": mode, "checked": checked,
+                            "violating_set": list(s5), "seed": seed}
         return {"passed": True, "mode": mode, "checked": trials, "seed": seed}
 
 

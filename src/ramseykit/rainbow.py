@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, DEFAULT_BUDGET, ParameterError
 from .stepup import Colouring, TabulatedColouring, random_colouring
-from .stepup import _check_built, _comb_upto
+from .stepup import _check_built, _comb_upto, _sample_set
 
 __all__ = [
     "RainbowReport",
@@ -182,17 +182,6 @@ def _replay(parts):
         if violation is not None:
             break
     return violation, hist, checked
-
-
-def _sample_set(rng, n, t):
-    """t distinct vertices of 1..n; works for universes beyond C integer
-    sizes, where random.sample(range(...)) would overflow."""
-    if n <= 1 << 30:
-        return tuple(sorted(rng.sample(range(1, n + 1), t)))
-    got: set[int] = set()
-    while len(got) < t:
-        got.add(1 + rng.randrange(n))
-    return tuple(sorted(got))
 
 
 def search_random_rainbow(

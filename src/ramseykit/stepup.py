@@ -292,6 +292,19 @@ def random_colouring(k: int, n: int, q: int, seed: int) -> TabulatedColouring:
     return TabulatedColouring(k, n, table, colours, kind="random-seeded", seed=seed)
 
 
+def _sample_set(rng, n, t):
+    """t distinct vertices of 1..n, sorted: the draw of every seeded
+    sampler.  Up to 2^30 vertices it is
+    ``tuple(sorted(rng.sample(range(1, n + 1), t)))``; beyond, where
+    random.sample(range(...)) would overflow, repeated randrange draws."""
+    if n <= 1 << 30:
+        return tuple(sorted(rng.sample(range(1, n + 1), t)))
+    got: set[int] = set()
+    while len(got) < t:
+        got.add(1 + rng.randrange(n))
+    return tuple(sorted(got))
+
+
 # ---------------------------------------------------------------------------
 # Pattern class partitions
 # ---------------------------------------------------------------------------

@@ -126,6 +126,18 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
         # preset sample counts below 1
         (["preset", "--name", "cor-five-colours", "--samples", "0"], "--samples"),
         (["preset", "--name", "cor-five-colours", "--samples", "-3"], "--samples"),
+        # a body below k + 1 vertices has no (k+1)-subset, so no spine edge
+        (["hedgehog", "find-mono", "--random-base", "3", "81", "2", "1", "--t", "1"],
+         "t = 1 is below k + 1 = 2"),
+        (["hedgehog", "find-mono", "--random-base", "3", "81", "2", "1", "--t", "0"],
+         "t = 0 is below k + 1 = 2"),
+        (["hedgehog", "find-mono", "--random-base", "3", "81", "2", "1", "--t", "-1"],
+         "t = -1 is below k + 1 = 2"),
+        # sampled preset stages charge --budget before drawing
+        (["preset", "--name", "cor-five-colours", "--samples", "1000000",
+          "--budget", "1000"], "budget exceeded: 1000000 sampled witnesses"),
+        (["preset", "--name", "hedgehog-lower", "--samples", "1000000000",
+          "--budget", "100000"], "budget exceeded: spread check of 1000000000"),
     ]
     for argv, needle in cases:
         code, _, err = run(capsys, *argv)
@@ -379,6 +391,18 @@ def test_find_mono_embedding_validates(tmp_path, capsys):
         "--t", "3", "--format", "json", "--output", str(emb),
     )
     assert code == 0
+    code, out, _ = run(capsys, "validate", "--witness", str(emb))
+    assert code == 0 and "embedding checks out" in out
+
+
+def test_find_mono_smallest_body_validates(tmp_path, capsys):
+    # t = k + 1 = 2: one spine edge through the body pair
+    emb = tmp_path / "emb.json"
+    code, _, _ = run(
+        capsys, "hedgehog", "find-mono", "--random-base", "3", "81", "2", "1",
+        "--t", "2", "--format", "json", "--output", str(emb),
+    )
+    assert code == 0 and len(json.loads(emb.read_text())["edges"]) == 1
     code, out, _ = run(capsys, "validate", "--witness", str(emb))
     assert code == 0 and "embedding checks out" in out
 

@@ -12,6 +12,7 @@ from ramseykit import hedgehog as hh
 from ramseykit import rainbow as rb
 from ramseykit import stepup as su
 from ramseykit.errors import (
+    BudgetExceededError,
     FileFormatError,
     IncompleteSearchError,
     ParameterError,
@@ -343,6 +344,19 @@ def test_spread_certification():
         hh.verify_hedgehog_spread(hh.lift_colouring(weak, 3), 4, 1)
 
 
+def test_spread_charges_each_embedding_its_lifted_colours():
+    base, rep, _ = rb.search_random_rainbow(2, 10, 16, 4, 4, max_attempts=50,
+                                            seed=2024)
+    lifted = hh.lift_colouring(base, 3)
+    # C(4, 2) = 6 spine edges per embedding
+    spread = hh.verify_hedgehog_spread(lifted, 4, 1, base_report=rep,
+                                       embeddings=300, seed=5, budget=1800)
+    assert spread.embeddings_checked == 300
+    with pytest.raises(BudgetExceededError, match="needs 1800 lifted colours"):
+        hh.verify_hedgehog_spread(lifted, 4, 1, base_report=rep,
+                                  embeddings=300, seed=5, budget=1799)
+
+
 def test_spread_vacuous_when_body_below_uniformity():
     base = su.random_colouring(2, 10, 16, seed=2032)
     lifted = hh.lift_colouring(base, 3)
@@ -658,17 +672,34 @@ def test_sampled_scan_matches_reference_loop():
             )
 
 
+def test_sampled_scan_matches_reference_loop_on_every_host():
+    # SpreadRedHost(12) at seed 11 fails at draw 2 on parts (1, 1, 2, 3, 3):
+    # not the part tuple of its class's least member, but the same shape
+    hosts = (hh.BurrErdosHost(8), hh.BurrErdosHost(12), hh.BurrErdosHost(16),
+             SpreadRedHost(12), InsideRedHost(8), InsideRedHost(12))
+    for host in hosts:
+        for seed in range(20):
+            for trials in (1, 7, 500, 3000):
+                got = host.scan_for_blue("sampled", trials, seed)
+                want = reference_scan_for_blue(host, "sampled", trials, seed)
+                assert got == want, (type(host).__name__, host.n, seed, trials)
+
+
+def test_passing_sampled_scan_draws_no_set(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a passing sampled scan built an RNG")
+
+    monkeypatch.setattr(hh.random, "Random", refuse)
+    got = hh.BurrErdosHost(12).scan_for_blue("sampled", 10**9, 3)
+    assert got == {"passed": True, "mode": "sampled", "checked": 10**9, "seed": 3}
+
+
 def test_scan_colours_once_per_part_profile():
     host = CountingHost(12)
-    trials, seed = 20000, 5
-    rng = random.Random(seed)
-    keys = {
-        tuple(map(host.part_of, sorted(rng.sample(range(1, host.num_vertices + 1), 5))))
-        for _ in range(trials)
-    }
-    assert host.scan_for_blue("sampled", trials, seed)["passed"]
-    # one call per key, plus the fallback triple of a key without 3 in a part
-    assert len(keys) <= host.calls <= 2 * len(keys)
+    assert host.scan_for_blue("sampled", 20000, 5)["passed"]
+    # one call per profile class, plus the fallback triple of a class
+    # without 3 in a part; no sampled set is re-coloured
+    assert host.calls <= 2 * len(list(host.classes(5))) <= 10
     for n in (8, 12, 40):
         host = CountingHost(n)
         assert host.scan_for_blue()["passed"]
