@@ -103,8 +103,9 @@ def check_declared(path, line, **sizes):
 
 
 # Tables built from sizes given on the command line or in a witness spec (a
-# random colouring's C(n, k) edges, the exact oracle's C(n, t) vertex sets)
-# stop here; C(182, 3) = 988,260 random edges take about 170 MB in CPython 3.11.
+# random colouring's C(n, k) edges and q colours, the exact oracle's C(n, t)
+# vertex sets) stop here; C(182, 3) = 988,260 random edges take one byte each,
+# and about 170 MB in CPython 3.11 once their edge table is built.
 MAX_BUILT = 10**6
 
 DEFAULT_BUDGET = 10**9

@@ -30,7 +30,8 @@ from .errors import (
     ints,
     records,
 )
-from .stepup import Colouring, LiftedColouring, _comb_upto, _sample_set, colour_str
+from .stepup import Colouring, LiftedColouring, _comb_upto, _lex_rank, _sample_set
+from .stepup import colour_str
 from .stepup import lift_colouring
 from . import rainbow as _rainbow
 
@@ -584,24 +585,50 @@ def _pair_danger(colouring, n, thr, c1, c2):
     """Endangered pairs at uniformity 3: the piercing number of a pair in
     one colour's host edges is its co-degree in that colour.
 
-    The co-degrees come from one pass over the C(n,3) triples, each
-    coloured once (sorted and in range by construction, so unchecked); a
-    pair's co-degree in c2 is n - 2 minus its co-degree in c1."""
-    colour = colouring._colour
-    deg1 = dict.fromkeys(itertools.combinations(range(1, n + 1), 2), 0)
-    for e in itertools.combinations(range(1, n + 1), 3):
-        if colour(e) == c1:
-            a, b, c = e
-            deg1[a, b] += 1
-            deg1[a, c] += 1
-            deg1[b, c] += 1
+    The c1 co-degrees come from one pass of :meth:`Colouring.edge_colours`
+    over the C(n,3) triples, each read once; a pair's co-degree in c2 is
+    n - 2 minus its co-degree in c1."""
+    red = map(c1.__eq__, colouring.edge_colours())
     danger = {}
-    for e, n1 in deg1.items():
+    for e, n1 in _co_degrees(red, n).items():
         if n1 < thr:
             danger[e] = c1
         elif n - 2 - n1 < thr:
             danger[e] = c2
     return danger
+
+
+def _co_degrees(flags, n):
+    """Co-degree of every pair of 1..n, pairs in lexicographic order, among
+    the triples flagged true; ``flags`` holds one flag per triple of 1..n,
+    triples in lexicographic order.
+
+    The triples with least vertices a < b form a run of flags for the
+    third vertices c = b+1..n.  Read as a big-endian integer with one
+    w-byte lane per flag, the last lane for c = n, run (a, b) adds
+    its flags to lane c of ``total[a]`` (pair (a, c)) and of ``total[b]``
+    (pair (b, c)), and its count of set flags goes to lane b of
+    ``total[a]`` (pair (a, b)).  So ``total[x]`` holds the co-degrees of
+    the pairs (x, x+1..n), one per lane.  A co-degree is at most n - 2, so
+    a lane of w bytes, 256^w > n, never carries into the next.
+    """
+    w = (n.bit_length() + 7) // 8
+    runs = bytearray(w * math.comb(n, 3))
+    runs[w - 1::w] = bytes(flags)
+    one = (1).to_bytes(w, "big")
+    total = [0] * n
+    pos = 0
+    for a in range(1, n - 1):
+        for b in range(a + 1, n):
+            size = w * (n - b)
+            run = runs[pos:pos + size]
+            pos += size
+            lanes = int.from_bytes(run, "big")
+            total[a] += lanes + (run.count(one) << 8 * size)
+            total[b] += lanes
+    raw = b"".join(total[x].to_bytes(w * (n - x), "big") for x in range(1, n))
+    counts = (int.from_bytes(raw[i:i + w], "big") for i in range(0, len(raw), w))
+    return dict(zip(itertools.combinations(range(1, n + 1), 2), counts))
 
 
 def _general_danger(colouring, n, k, thr, c1, c2, budget):
@@ -772,14 +799,6 @@ class BurrErdosHost(Colouring):
                     return {"passed": False, "mode": mode, "checked": checked,
                             "violating_set": list(s5), "seed": seed}
         return {"passed": True, "mode": mode, "checked": trials, "seed": seed}
-
-
-def _lex_rank(c, n: int) -> int:
-    """0-based rank of the sorted set ``c`` among the |c|-subsets of 1..n
-    in lexicographic order: C(n, k) - 1 minus the sets that come after it,
-    which agree with ``c`` before position i and exceed it at i."""
-    k = len(c)
-    return math.comb(n, k) - 1 - sum(math.comb(n - v, k - i) for i, v in enumerate(c))
 
 
 def burr_erdos_pair(n: int) -> tuple[Hypergraph, BurrErdosHost]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, DEFAULT_BUDGET, ParameterError
 from .stepup import Colouring, TabulatedColouring, random_colouring
-from .stepup import _check_built, _comb_upto, _sample_set
+from .stepup import _check_built, _check_palette, _comb_upto, _sample_set
 
 __all__ = [
     "RainbowReport",
@@ -69,8 +69,9 @@ def verify_rainbow(
     table, and any other colouring memoizes edge colours.  Sets are visited
     in the same order either way, and the report does not depend on how
     spans are computed.  Sampling needs t <= n; exhaustively, t > n passes
-    with no set checked, and the budget is charged ``colouring.span_cost``
-    per set: C(t, k) edge evaluations, or one lookup for a stepped colouring.
+    with no set checked.  Before any set is read, the budget is charged
+    ``colouring.span_cost`` per set, C(t, k) edge evaluations or one lookup
+    for a stepped colouring, for every t-set or every trial.
 
     ``workers`` must be at least 1 and is capped at the CPU count.
     ``workers > 1`` splits an exhaustive enumeration across processes by
@@ -86,16 +87,23 @@ def verify_rainbow(
         raise ParameterError("p must be positive")
     if workers < 1:
         raise ParameterError(f"workers = {workers}, must be at least 1")
-    if mode == "exhaustive":
-        per_set, unit = colouring.span_cost(t)
-        work = math.comb(n, t) * per_set
-        if work > budget:
-            raise BudgetExceededError(
-                f"exhaustive verification needs about {work} {unit}, "
-                f"budget is {budget}; use sampled mode",
-                estimate=work,
-                budget=budget,
-            )
+    if mode not in ("exhaustive", "sampled"):
+        raise ParameterError(f"unknown mode {mode!r}")
+    sampled = mode == "sampled"
+    if sampled and trials < 1:
+        raise ParameterError(f"trials = {trials}, must be at least 1")
+    if sampled and t > n:
+        raise ParameterError(f"t = {t} exceeds n = {n}: no {t}-set to sample")
+    per_set, unit = colouring.span_cost(t)
+    work = (trials if sampled else math.comb(n, t)) * per_set
+    if work > budget:
+        raise BudgetExceededError(
+            f"{mode} verification needs about {work} {unit}, budget is {budget}; "
+            + ("use fewer trials" if sampled else "use sampled mode"),
+            estimate=work,
+            budget=budget,
+        )
+    if not sampled:
         firsts = range(1, n - t + 2)
         workers = min(workers, os.cpu_count() or 1)
         if workers > 1:
@@ -107,18 +115,11 @@ def verify_rainbow(
         else:
             parts = _scan_firsts((colouring, t, p, firsts))
         violation, hist, checked = _replay(parts)
-    elif mode == "sampled":
-        if trials < 1:
-            raise ParameterError(f"trials = {trials}, must be at least 1")
-        if t > n:
-            raise ParameterError(f"t = {t} exceeds n = {n}: no {t}-set to sample")
+    else:
         rng = random.Random(seed)
         sets = (_sample_set(rng, n, t) for _ in range(trials))
         violation, hist, checked = _scan(colouring, sets, p)
-    else:
-        raise ParameterError(f"unknown mode {mode!r}")
 
-    sampled = mode == "sampled"
     violating_set, violating_colours = violation or (None, ())
     return RainbowReport(
         passed=violation is None,
@@ -243,12 +244,11 @@ def exact_rainbow_exists(
     edge's colour that keeps the current block no longer than the last.
     When p exceeds q or C(t, k), no t-set can span p colours and the answer
     is no without a search.  An instance that would list more than
-    MAX_BUILT edges or t-sets raises ParameterError.
+    MAX_BUILT colours, edges or t-sets raises ParameterError.
     """
     if t < k:
         raise ParameterError(f"t = {t} below the uniformity {k}")
-    if q < 1:
-        raise ParameterError("q must be positive")
+    _check_palette(q)
     if p < 1:
         raise ParameterError("p must be positive")
     if n < t:

@@ -32,6 +32,7 @@ import functools
 import itertools
 import math
 import random
+from array import array
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -186,6 +187,14 @@ class Colouring:
     def _colour(self, e):
         raise NotImplementedError
 
+    def _edges(self):
+        """Every edge, in lexicographic order."""
+        return itertools.combinations(range(1, self.num_vertices + 1), self.uniformity)
+
+    def edge_colours(self):
+        """The colour of every edge, edges in lexicographic order."""
+        return map(self._colour, self._edges())
+
     def span(self, ts):
         """Colours of the edges inside ``ts``, a sorted tuple of distinct
         vertices of the universe (not re-checked)."""
@@ -242,24 +251,62 @@ def _check_built(what: str, n: int, k: int) -> None:
 
 
 class TabulatedColouring(Colouring):
-    """Colouring stored as an explicit edge table."""
+    """Colouring stored as palette indices, one per edge in lexicographic
+    order: edge e has colour ``colours[codes[rank(e)]]``.
 
-    def __init__(self, uniformity, num_vertices, table, colours, kind="tabulated", seed=None):
+    ``table`` maps each edge to its colour.  A colouring built from a
+    mapping keeps it as its table, after checking that it colours every
+    k-subset from the palette; a colouring built from ``codes`` makes its
+    table on first use, which only :meth:`span` needs.
+    """
+
+    def __init__(self, uniformity, num_vertices, table, colours, kind="tabulated",
+                 seed=None, codes=None):
         super().__init__(uniformity, num_vertices)
-        self.table = dict(table)
         self._colours = tuple(colours)
         self.kind = kind
         self.seed = seed
-        cap = max(len(self.table), MAX_DECLARED)
-        expected = _comb_upto(num_vertices, uniformity, cap)
-        if len(self.table) != expected:
+        if codes is None:
+            self.table = dict(table)
+            codes = self._codes_of(self.table)
+        self.codes = codes
+
+    def _codes_of(self, table):
+        cap = max(len(table), MAX_DECLARED)
+        expected = _comb_upto(self.num_vertices, self.uniformity, cap)
+        if len(table) != expected:
             raise ParameterError(
-                f"table has {len(self.table)} edges, expected "
+                f"table has {len(table)} edges, expected "
                 + (f"{expected}" if expected <= cap else f"more than {cap}")
             )
+        index = {c: i for i, c in enumerate(self._colours)}
+        codes = []
+        for e in self._edges():
+            if e not in table:
+                raise ParameterError(f"table has no colour for edge {e}")
+            i = index.get(table[e])
+            if i is None:
+                raise ParameterError(
+                    f"edge {e} has colour {table[e]!r}, which is not in the palette"
+                )
+            codes.append(i)
+        return bytes(codes) if len(index) <= 256 else array("I", codes)
+
+    @functools.cached_property
+    def table(self) -> dict:
+        # cached in the instance, so span's lookups read a plain attribute
+        colours = self._colours
+        return {e: colours[i] for e, i in zip(self._edges(), self.codes)}
+
+    @functools.cached_property
+    def _ranks(self):
+        return _rank_tables(self.uniformity, self.num_vertices)
 
     def _colour(self, e):
-        return self.table[e]
+        return self._colours[self.codes[sum(map(list.__getitem__, self._ranks, e))]]
+
+    def edge_colours(self):
+        return map(self._colours.__getitem__, self.codes)
 
     def span(self, ts):
         edges = itertools.combinations(ts, self.uniformity)
@@ -269,27 +316,77 @@ class TabulatedColouring(Colouring):
         return self._colours
 
 
+def _lex_rank(c, n: int) -> int:
+    """0-based rank of the sorted set ``c`` among the |c|-subsets of 1..n
+    in lexicographic order: C(n, k) - 1 minus the sets that come after it,
+    which agree with ``c`` before position i and exceed it at i."""
+    k = len(c)
+    return math.comb(n, k) - 1 - sum(math.comb(n - v, k - i) for i, v in enumerate(c))
+
+
+@functools.lru_cache(maxsize=64)
+def _rank_tables(k: int, n: int) -> tuple[list[int], ...]:
+    """Per-position terms of :func:`_lex_rank` for the k-subsets of 1..n:
+    a sorted edge e has rank ``sum(tables[i][e[i]] for i in range(k))``."""
+    tables = [[-math.comb(n - v, k - i) for v in range(n + 1)] for i in range(k)]
+    last = math.comb(n, k) - 1
+    tables[0] = [last + x for x in tables[0]]
+    return tuple(tables)
+
+
+def _check_palette(q: int) -> None:
+    """Refuse a palette of q colours before it is listed."""
+    if q < 1:
+        raise ParameterError("q must be positive")
+    if q > MAX_BUILT:
+        raise ParameterError(f"q = {q} colours are above the limit {MAX_BUILT}")
+
+
+@functools.lru_cache(maxsize=None)
+def _byte_draw(q: int) -> tuple[bytes, bytes]:
+    """``bytes.translate`` arguments turning the top bytes of 32-bit words
+    into ``getrandbits(q.bit_length())`` draws below q, for q < 256: a
+    table mapping each byte to its top q.bit_length() bits, and the bytes
+    whose draw is q or more."""
+    shift = 8 - q.bit_length()
+    keep = bytes(b >> shift for b in range(256))
+    drop = bytes(b for b in range(256) if b >> shift >= q)
+    return keep, drop
+
+
 def random_colouring(k: int, n: int, q: int, seed: int) -> TabulatedColouring:
     """Uniformly random q-colouring of the k-subsets of 1..n, seed-reproducible.
 
     Edge e, in lexicographic order, gets ``("base", 1 + rng.randrange(q))``
-    from ``rng = random.Random(seed)``.  The draw is written out as the
-    rejection loop behind ``randrange(q)``: ``getrandbits(q.bit_length())``
-    until the value is below q.  Edges share the palette's colour tuples.
+    from ``rng = random.Random(seed)``.  The draw is the rejection loop
+    behind ``randrange(q)``: ``getrandbits(q.bit_length())`` until the value
+    is below q.  Each such draw is the top bits of one 32-bit word of the
+    generator, so for q < 256 the words are drawn in bulk and one
+    ``bytes.translate`` shifts their top bytes and drops the rejected ones.
     """
-    if q < 1:
-        raise ParameterError("q must be positive")
+    _check_palette(q)
     _check_built("edges", n, k)
+    m = math.comb(n, k)
     getrandbits = random.Random(seed).getrandbits
     bits = q.bit_length()
-    colours = [("base", i) for i in range(1, q + 1)]
-    table = {}
-    for e in itertools.combinations(range(1, n + 1), k):
-        r = getrandbits(bits)
-        while r >= q:
+    if q < 256:
+        keep, drop = _byte_draw(q)
+        codes = b""
+        while len(codes) < m:
+            words = ((m - len(codes)) << bits) // q + 32
+            top = getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+            codes += top.translate(keep, drop)
+        codes = codes[:m]
+    else:
+        codes = array("I")
+        for _ in range(m):
             r = getrandbits(bits)
-        table[e] = colours[r]
-    return TabulatedColouring(k, n, table, colours, kind="random-seeded", seed=seed)
+            while r >= q:
+                r = getrandbits(bits)
+            codes.append(r)
+    colours = [("base", i) for i in range(1, q + 1)]
+    return TabulatedColouring(k, n, None, colours, kind="random-seeded", seed=seed,
+                              codes=codes)
 
 
 def _sample_set(rng, n, t):
@@ -748,8 +845,8 @@ def parse_schedule(text: str, path=None):
 
 def format_tabulated(c: TabulatedColouring) -> str:
     lines = [f"{c.uniformity} {c.num_vertices} {c.budget}"]
-    for e in sorted(c.table):
-        lines.append(" ".join(str(v) for v in e) + " " + colour_str(c.table[e]))
+    for e, col in zip(c._edges(), c.edge_colours()):
+        lines.append(" ".join(str(v) for v in e) + " " + colour_str(col))
     return "\n".join(lines) + "\n"
 
 
@@ -976,7 +1073,7 @@ def sweep_reachable_colours(c: Colouring, counts: bool = False):
     colouring's edge colour is a function of the edge's delta sequence, so
     its sweep is an exact sum over the delta classes of
     :func:`delta.delta_classes`, one colour evaluation per class; any
-    other colouring is evaluated edge by edge.
+    other colouring is read through :meth:`Colouring.edge_colours`.
     """
     hist: dict = {}
     if isinstance(c, _Stepped):
@@ -984,7 +1081,6 @@ def sweep_reachable_colours(c: Colouring, counts: bool = False):
             col = c.colour_of_deltas(ds)
             hist[col] = hist.get(col, 0) + n
     else:
-        for e in itertools.combinations(range(1, c.num_vertices + 1), c.uniformity):
-            col = c._colour(e)
+        for col in c.edge_colours():
             hist[col] = hist.get(col, 0) + 1
     return set(hist), (hist if counts else None)

@@ -119,6 +119,13 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
           "--p", "2"], "above the limit"),
         (["exact-oracle", "--k", "1", "--n", "2000", "--q", "2", "--t", "3",
           "--p", "2"], "C(2000, 3) t-sets are above the limit"),
+        # a palette above the limit, refused before it is listed
+        (["verify", "--random-base", "2", "5", "1000000000", "1", "--t", "3",
+          "--p", "2"], "q = 1000000000 colours are above the limit"),
+        (["search-random", "--k", "2", "--n", "6", "--q", "1000000000", "--t", "4",
+          "--p", "3"], "q = 1000000000 colours are above the limit"),
+        (["exact-oracle", "--k", "2", "--n", "5", "--q", "1000000000", "--t", "3",
+          "--p", "2"], "q = 1000000000 colours are above the limit"),
         (["burr-erdos", "--n", "2000"], "vertices are above the limit"),
         (["burr-erdos", "--n", "448"], "vertices are above the limit"),
         (["hedgehog", "build", "--t", "40", "--k", "21", "--s", "20"],
@@ -138,6 +145,10 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
           "--budget", "1000"], "budget exceeded: 1000000 sampled witnesses"),
         (["preset", "--name", "hedgehog-lower", "--samples", "1000000000",
           "--budget", "100000"], "budget exceeded: spread check of 1000000000"),
+        # so does sampled verify: trials times the span cost of one set
+        (["verify", "--random-base", "2", "6", "2", "1", "--t", "3", "--p", "1",
+          "--sample", "1000000000000", "--budget", "10"],
+         "budget exceeded: sampled verification needs about 3000000000000 edge"),
     ]
     for argv, needle in cases:
         code, _, err = run(capsys, *argv)

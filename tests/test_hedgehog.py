@@ -10,6 +10,7 @@ import pytest
 
 from ramseykit import hedgehog as hh
 from ramseykit import rainbow as rb
+from ramseykit import report
 from ramseykit import stepup as su
 from ramseykit.errors import (
     BudgetExceededError,
@@ -403,11 +404,18 @@ class PartRule(su.Colouring):
 
 
 class CountingTable(su.TabulatedColouring):
-    """A tabulated colouring that counts its checked and unchecked calls."""
+    """A tabulated colouring that counts its checked and unchecked calls,
+    its whole-universe passes and the edge colours those passes yield."""
 
     def __init__(self, base):
         super().__init__(3, base.num_vertices, base.table, base.palette())
-        self.calls = {"colour": 0, "_colour": 0}
+        self.calls = {"colour": 0, "_colour": 0, "edge_colours": 0, "yielded": 0}
+
+    def edge_colours(self):
+        self.calls["edge_colours"] += 1
+        for col in super().edge_colours():
+            self.calls["yielded"] += 1
+            yield col
 
     def colour(self, edge):
         self.calls["colour"] += 1
@@ -423,6 +431,51 @@ def test_find_mono_on_random_colourings():
         c = su.random_colouring(3, 81, 2, seed=seed)
         emb = hh.find_mono_hedgehog(c, 3)
         assert hh.validate_embedding(emb, c, 3)
+
+
+def test_validate_find_mono_embedding_builds_no_table(monkeypatch):
+    # whole-universe reads go through the codes and single edges through
+    # their ranks, in the search and in a witness file's re-check alike
+    c = su.random_colouring(3, 81, 2, seed=4)
+    emb = hh.find_mono_hedgehog(c, 3)
+    assert hh.validate_embedding(emb, c, 3)
+    assert "table" not in vars(c)
+    built = []
+
+    def recorded(*args):
+        built.append(random_colouring(*args))
+        return built[-1]
+
+    random_colouring = su.random_colouring
+    monkeypatch.setattr(su, "random_colouring", recorded)
+    doc = {"witness_kind": "embedding", "colouring": report.colouring_spec(c),
+           "config": {"t": "3"}, **emb.to_dict()}
+    assert report.validate_witness(doc) == (True, "monochromatic embedding checks out")
+    assert len(built) == 1 and "table" not in vars(built[0])
+
+
+def test_co_degrees_match_per_triple_counts():
+    # the run-by-run co-degree pass against a per-triple count; at n = 260
+    # a co-degree can reach 258, so the lanes are two bytes wide
+    rng = random.Random(7)
+    for n in (2, 3, 4, 9, 20):
+        flags = [rng.random() < 0.5 for _ in range(math.comb(n, 3))]
+        want = dict.fromkeys(itertools.combinations(range(1, n + 1), 2), 0)
+        for (a, b, c), red in zip(itertools.combinations(range(1, n + 1), 3), flags):
+            if red:
+                want[a, b] += 1
+                want[a, c] += 1
+                want[b, c] += 1
+        assert list(hh._co_degrees(flags, n).items()) == list(want.items())
+    n = 260
+    deg = hh._co_degrees(itertools.repeat(True, math.comb(n, 3)), n)
+    assert set(deg.values()) == {n - 2} and len(deg) == math.comb(n, 2)
+    # the triples through vertex 1 come first: co-degree n - 2 at (1, y), 1 elsewhere
+    through_1 = math.comb(n - 1, 2)
+    flags = itertools.chain(itertools.repeat(True, through_1),
+                            itertools.repeat(False, math.comb(n, 3) - through_1))
+    deg = hh._co_degrees(flags, n)
+    assert all(d == (n - 2 if x == 1 else 1) for (x, _), d in deg.items())
 
 
 def test_find_mono_on_adversarial_colourings():
@@ -500,12 +553,14 @@ def test_pair_danger_matches_general_danger():
 
 
 def test_pair_danger_colours_each_triple_once():
-    # one unchecked colour per host triple, and none through the checked path
+    # one whole-universe pass reads each host triple's colour once, and no
+    # triple goes through the per-edge paths, checked or not
     n = 20
     c = CountingTable(su.random_colouring(3, n, 2, seed=3))
     c1, c2 = c.palette()
     hh._pair_danger(c, n, (n - 2) // 2, c1, c2)
-    assert c.calls == {"colour": 0, "_colour": math.comb(n, 3)}
+    assert c.calls == {"colour": 0, "_colour": 0, "edge_colours": 1,
+                       "yielded": math.comb(n, 3)}
 
 
 # --- the two-part host ---------------------------------------------------------------

@@ -137,6 +137,22 @@ def test_stepped_verify_budget_counts_sets():
         rb.verify_rainbow(su.random_colouring(4, 16, 3, seed=0), 6, 3, budget=10_000)
 
 
+def test_sampled_verify_charges_budget_before_drawing():
+    # trials times span_cost: C(4, 2) = 6 edge evaluations per 4-set of a
+    # tabulated colouring, one set lookup per 7-set of a stepped one
+    c = su.random_colouring(2, 9, 2, seed=3)
+    rep = rb.verify_rainbow(c, 4, 1, mode="sampled", trials=50, seed=1, budget=300)
+    assert rep.sets_checked == 50
+    with pytest.raises(BudgetExceededError, match="300 edge evaluations, budget is 299"):
+        rb.verify_rainbow(c, 4, 1, mode="sampled", trials=50, seed=1, budget=299)
+    up1 = stepped(3, 4, 3, 11, [("up1", 3, 5)])
+    assert rb.verify_rainbow(up1, 7, 1, mode="sampled", trials=200, budget=200).passed
+    with pytest.raises(BudgetExceededError, match="200 set lookups"):
+        rb.verify_rainbow(up1, 7, 1, mode="sampled", trials=200, budget=199)
+    with pytest.raises(BudgetExceededError):
+        rb.verify_rainbow(c, 4, 1, mode="sampled", trials=10**12, budget=10)
+
+
 def test_stepped_parallel_verify_matches_serial():
     for seed, t, p in ((11, 6, 3), (12, 7, 4)):
         c = stepped(3, 4, 3, seed, [("up1", 3, 5)])

@@ -24,12 +24,14 @@ def part35():
 
 # --- random bases ----------------------------------------------------------------
 
-@pytest.mark.parametrize("q", range(1, 18))
+@pytest.mark.parametrize("q", [*range(1, 18), 127, 128, 255, 256, 257, 1000])
 def test_random_colouring_reproduces_randrange_stream(q):
-    # the draw loop inlines randrange(q); an interpreter that changes
-    # randrange makes this fail rather than silently re-seed every base
+    # the bulk draw (q < 256) and the draw loop (q >= 256) inline
+    # randrange(q); an interpreter that changes randrange makes this fail
+    # rather than silently re-seed every base.  C(30, 3) = 4060 edges need
+    # more than one bulk round at every q.
     palette = tuple(("base", i) for i in range(1, q + 1))
-    for k, n in ((1, 6), (2, 9), (3, 10), (4, 8)):
+    for k, n in ((1, 6), (2, 9), (3, 10), (4, 8), (3, 30)):
         for seed in (0, 1, 42, 2718):
             rng = random.Random(seed)
             want = {
@@ -37,7 +39,69 @@ def test_random_colouring_reproduces_randrange_stream(q):
                 for e in itertools.combinations(range(1, n + 1), k)
             }
             c = su.random_colouring(k, n, q, seed)
+            assert list(c.edge_colours()) == list(want.values())
             assert c.table == want and c.palette() == palette
+
+
+def test_rank_tables_match_enumeration():
+    for k in range(1, 5):
+        for n in range(k, 10):
+            tables = su._rank_tables(k, n)
+            for rank, e in enumerate(itertools.combinations(range(1, n + 1), k)):
+                assert sum(t[v] for t, v in zip(tables, e)) == rank
+                assert su._lex_rank(e, n) == rank
+
+
+def test_rank_colour_matches_mapping():
+    # every edge of every k <= 4, n <= 9, through the rank of the edge, on
+    # colourings built from a mapping and from drawn codes
+    rng = random.Random(5)
+    for k in range(1, 5):
+        for n in range(k, 10):
+            palette = [("base", i) for i in range(1, 4)] + [("class", 1)]
+            edges = list(itertools.combinations(range(1, n + 1), k))
+            table = {e: rng.choice(palette) for e in edges}
+            mapped = su.TabulatedColouring(k, n, table, palette)
+            drawn = su.random_colouring(k, n, 3, seed=n)
+            want = dict(zip(edges, drawn.edge_colours()))
+            for e in edges:
+                assert mapped._colour(e) == mapped.colour(e[::-1]) == table[e]
+                assert drawn._colour(e) == drawn.colour(e[::-1]) == want[e]
+            assert "table" not in vars(drawn)  # single edges need no table
+            assert drawn.table == want
+
+
+def test_edge_colours_follow_combinations_order(base36, part35):
+    edges = list(itertools.combinations(range(1, 7), 3))
+    shuffled = dict(random.Random(1).sample(list(base36.table.items()), len(edges)))
+    mapped = su.TabulatedColouring(3, 6, shuffled, base36.palette())
+    assert list(mapped.edge_colours()) == [base36.table[e] for e in edges]
+    assert list(base36.edge_colours()) == [base36.table[e] for e in edges]
+    up1 = su.step_up_1(su.random_colouring(3, 4, 3, seed=1), part35)
+    assert list(up1.edge_colours()) == [
+        up1.colour(e) for e in itertools.combinations(range(1, 17), 4)
+    ]
+
+
+def test_mapping_is_checked():
+    two = [("base", 1), ("base", 2)]
+    # the right count of keys, but (2, 4) is not a 2-subset of 1..3
+    with pytest.raises(ParameterError, match=r"no colour for edge \(2, 3\)"):
+        su.TabulatedColouring(2, 3, dict.fromkeys([(1, 2), (1, 3), (2, 4)], two[0]), two)
+    # an unsorted key leaves its sorted edge uncoloured
+    with pytest.raises(ParameterError, match=r"no colour for edge \(1, 2\)"):
+        su.TabulatedColouring(2, 3, dict.fromkeys([(2, 1), (1, 3), (2, 3)], two[0]), two)
+    table = dict.fromkeys(itertools.combinations(range(1, 4), 2), two[0])
+    table[1, 3] = ("base", 3)
+    with pytest.raises(ParameterError, match=r"edge \(1, 3\) has colour \('base', 3\)"):
+        su.TabulatedColouring(2, 3, table, two)
+
+
+def test_oversized_palette_is_refused_before_listing():
+    with pytest.raises(ParameterError, match="q = 1000001 colours are above the limit"):
+        su.random_colouring(2, 5, 10**6 + 1, seed=1)
+    with pytest.raises(ParameterError, match="q must be positive"):
+        su.random_colouring(2, 5, 0, seed=1)
 
 
 # --- colour identifiers -------------------------------------------------------
@@ -330,6 +394,26 @@ def test_schedule_parsing_roundtrip():
         su.parse_schedule("up1 3\n")
     with pytest.raises(FileFormatError):
         su.parse_schedule("up1 3 5\nbase file x\n")
+
+
+def _format_from_table(c):
+    """The export as written from a sorted edge table."""
+    lines = [f"{c.uniformity} {c.num_vertices} {c.budget}"]
+    for e in sorted(c.table):
+        lines.append(" ".join(map(str, e)) + " " + su.colour_str(c.table[e]))
+    return "\n".join(lines) + "\n"
+
+
+def test_format_tabulated_from_codes_matches_table():
+    for k, n, q, seed in ((1, 5, 3, 0), (2, 9, 4, 1), (3, 12, 2, 7), (4, 9, 300, 2)):
+        drawn = su.random_colouring(k, n, q, seed)
+        text = su.format_tabulated(drawn)
+        assert "table" not in vars(drawn)
+        assert text == _format_from_table(drawn)
+        head, *rows = text.splitlines(keepends=True)
+        random.Random(seed).shuffle(rows)
+        parsed = su.parse_tabulated(head + "".join(rows))
+        assert su.format_tabulated(parsed) == _format_from_table(parsed) == text
 
 
 def test_tabulated_roundtrip(base36):
