@@ -10,8 +10,8 @@ not a coercion.  Python integers are arbitrary precision, so widths of
 2^7 coordinates and beyond (vertices of twice-doubled universes) need no
 special representation.
 
-Vertex-set files carry an ``m=<width>`` header line followed by decimal
-vertex values, one per line.
+Vertex-set files carry an ``m=<width>`` header line followed by at least
+one decimal vertex value, one per line, none repeated.
 """
 
 from __future__ import annotations
@@ -226,7 +226,7 @@ def realize_separated(ds: DeltaSeq, ix) -> tuple[BinVertex, ...]:
 
 
 def parse_vertex_file(text: str, path=None) -> tuple[BinVertex, ...]:
-    """Parse an ``m=`` headed vertex-set file into vertices."""
+    """Parse an ``m=`` headed vertex-set file into distinct vertices."""
     rows = records(text)
     if not rows:
         raise FileFormatError("empty vertex file", path=path)
@@ -240,10 +240,22 @@ def parse_vertex_file(text: str, path=None) -> tuple[BinVertex, ...]:
             line=headerline,
         )
     out = []
+    first_line: dict[int, int] = {}  # vertex value -> the line it is first on
     for lineno, toks in rows[1:]:
-        values = ints(toks, "vertex value", path, lineno)
-        try:
-            out.extend(BinVertex(v, width[0]) for v in values)
-        except ParameterError as exc:
-            raise FileFormatError(str(exc), path=path, line=lineno) from None
+        for v in ints(toks, "vertex value", path, lineno):
+            if v in first_line:
+                raise FileFormatError(
+                    f"vertex value {v} repeats the one on line {first_line[v]}",
+                    path=path,
+                    line=lineno,
+                )
+            first_line[v] = lineno
+            try:
+                out.append(BinVertex(v, width[0]))
+            except ParameterError as exc:
+                raise FileFormatError(str(exc), path=path, line=lineno) from None
+    if not out:
+        raise FileFormatError(
+            "no vertex values after the header", path=path, line=headerline
+        )
     return tuple(out)

@@ -73,6 +73,13 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
         (["hedgehog", "piercing", "--hypergraph", str(hyp), "--subset", "1 q"],
          "--subset"),
         (["pattern", "--seq", "1,2"], "--seq"),
+        # empty extraction patterns, whatever the sequence length
+        (["extract", "--seq", "1 2 3 4", "--left", "", "--right", ""],
+         "pattern must be non-empty"),
+        (["extract", "--seq", "1 2 3 4", "--left", "", "--right", "1 2"],
+         "pattern must be non-empty"),
+        (["extract", "--seq", " ".join(map(str, range(20))), "--left", "2 1",
+          "--right", ""], "pattern must be non-empty"),
         # a schedule step whose k is not the current uniformity
         (["stepup", "--schedule", str(wrong_k)], "step 1 (up2)"),
         # flags a hedgehog action needs but the hedgehog parser cannot require
@@ -378,6 +385,15 @@ def test_delta_subcommand(tmp_path, capsys):
     vf.write_text("m=3\n3\n8\n")
     code, _, err = run(capsys, "delta", "--vertex-file", str(vf))
     assert code == 2 and "verts.txt:3: value 8 out of range for width 3" in err
+    # a repeated value and a header-only file name the file and the line
+    for text, needle in [
+        ("m=4\n3\n5\n5\n", "verts.txt:4: vertex value 5 repeats the one on line 3"),
+        ("m=4\n", "verts.txt:1: no vertex values after the header"),
+    ]:
+        vf.write_text(text)
+        code, out, err = run(capsys, "delta", "--vertex-file", str(vf))
+        assert (code, out) == (2, "") and needle in err
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_hedgehog_build_and_degeneracy(tmp_path, capsys):

@@ -189,3 +189,14 @@ def test_vertex_file_roundtrip_and_errors():
         dl.parse_vertex_file("m=3\n9\n")  # out of range
     with pytest.raises(FileFormatError):
         dl.parse_vertex_file("")
+    # a repeat is refused where it repeats, naming the earlier line
+    cases = [
+        ("m=4\n3\n5\n5\n", "v.txt:4: vertex value 5 repeats the one on line 3"),
+        ("m=4\n1 2\n2\n", "v.txt:3: vertex value 2 repeats the one on line 2"),
+        # a header with no values is refused at the header line
+        ("# widths\nm=4\n# none\n", "v.txt:2: no vertex values after the header"),
+    ]
+    for text, message in cases:
+        with pytest.raises(FileFormatError) as exc:
+            dl.parse_vertex_file(text, path="v.txt")
+        assert str(exc.value) == message

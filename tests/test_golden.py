@@ -130,7 +130,7 @@ GOLDEN = [
     ("preset --name lemma-k5-13", 0,
      "7f3a0b4386ce207d2798ec582a15ebc08e4fa9b8233b5223caeb37d5235b9649",
      "0555fc5fc199929f7c7d2db3c9e5b853a08f7ac38080899a09707bbe0404c5a8"),
-    # extraction: homogeneous, tag L, and the fence scan on gen-sk output
+    # extraction: homogeneous, tag L, and the fence chain on gen-sk output
     ("extract --seq-file seq.txt --left 2,1 --right 1,2", 0,
      "1ef7fdb1efd4fb17b1cf79c44b75d13fc79370da3650301e0e1cac91a7eb52b8",
      "d674e4b2d4287e45ff0fc05135c55b589786ae9b92c0cb56e6d647dfea7f98b6"),

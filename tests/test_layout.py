@@ -1,7 +1,7 @@
 """Package layout: the modules import one another without a cycle, the
 CLI writes reports and builds base colourings in one place each, and every
 public name of the library is reached by a command, the benchmark or an
-acceptance test."""
+acceptance test and takes no test hook."""
 
 import ast
 import pathlib
@@ -95,16 +95,16 @@ def test_cli_has_one_way_out_and_one_base_loader():
     assert loaders == ["_load_base"]
 
 
-def public_names(path):
-    """``(name, line)`` of each public top-level function or class of
+def public_defs(path):
+    """``(name, node)`` of each public top-level function or class of
     ``path`` and of each public method of a public class."""
     out = []
     for node in ast.parse(path.read_text(), filename=str(path)).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
-            out.append((node.name, node.lineno))
+            out.append((node.name, node))
             if isinstance(node, ast.ClassDef):
                 out.extend(
-                    (f"{node.name}.{m.name}", m.lineno)
+                    (f"{node.name}.{m.name}", m)
                     for m in node.body
                     if isinstance(m, ast.FunctionDef) and m.name[0] != "_"
                 )
@@ -127,9 +127,9 @@ def unreached(modules, sources):
     """Public names of ``modules`` that no file of ``sources`` reads."""
     used = set().union(*map(referenced_names, sources))
     return [
-        f"{path.name}:{line}: {name}"
+        f"{path.name}:{node.lineno}: {name}"
         for path in modules
-        for name, line in public_names(path)
+        for name, node in public_defs(path)
         if name.rpartition(".")[2] not in used
     ]
 
@@ -159,3 +159,34 @@ def test_every_public_name_is_reached():
     assert modules and bench
     sources = modules + bench + [ROOT / "tests" / "test_acceptance.py"]
     assert unreached(modules, sources) == []
+
+
+def hook_parameters(path):
+    """``_``-prefixed parameters of the public functions and methods of
+    ``path``, that is, test hooks in public signatures."""
+    out = []
+    for name, node in public_defs(path):
+        if isinstance(node, ast.FunctionDef):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+            out.extend(
+                f"{path.name}:{node.lineno}: {name}({p.arg})"
+                for p in params
+                if p is not None and p.arg[0] == "_"
+            )
+    return out
+
+
+def test_no_public_signature_has_a_test_hook(tmp_path):
+    """A public function or method takes no ``_``-prefixed parameter: a
+    behaviour only a test can select is one no command runs."""
+    lib = tmp_path / "lib.py"
+    lib.write_text(
+        "def f(s, _eps=None): pass\n"
+        "def _g(s, _eps=None): pass\n"
+        "class K:\n"
+        "    def m(self, *, _seed=0): pass\n"
+    )
+    assert hook_parameters(lib) == ["lib.py:1: f(_eps)", "lib.py:4: K.m(_seed)"]
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert [h for p in modules for h in hook_parameters(p)] == []

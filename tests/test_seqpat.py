@@ -432,6 +432,18 @@ def test_extraction_trivial_cases():
     assert w.kind == "homogeneous" and len(w.indices) == 10
     w = sp.find_l_r_or_homogeneous(range(1, 25), (2, 1), (1, 2))
     assert w.kind == "homogeneous" and len(w.indices) == 24
+    # |L| + |R| = 5: the fence chain, whose right fence wins on range(1, 251)
+    # and whose left fence wins the tie of single elements on range(1, 61)
+    w = sp.find_l_r_or_homogeneous(range(1, 251), (2, 3, 1), (1, 2))
+    assert (w.kind, w.indices) == ("homogeneous", (249, 250))
+    w = sp.find_l_r_or_homogeneous(range(1, 61), (2, 3, 1), (1, 2))
+    assert (w.kind, w.indices) == ("homogeneous", (59,))
+    # |L| + |R| = 4: the exact longest witness
+    w = sp.find_l_r_or_homogeneous(range(1, 251), (2, 1), (1, 2))
+    assert (w.kind, w.indices) == ("homogeneous", tuple(range(1, 251)))
+    # a size-1 R when L is larger
+    w = sp.find_l_r_or_homogeneous((3, 1, 2), (2, 1), (1,))
+    assert (w.kind, w.indices) == ("R", (1,))
 
 
 def test_extraction_on_the_doubling_family():
@@ -441,11 +453,18 @@ def test_extraction_on_the_doubling_family():
     assert revalidates(s, w, (2, 3, 1), (1, 3, 2))
 
 
-def test_extraction_rejects_bad_properties():
+def test_extraction_rejects_bad_properties(monkeypatch):
     with pytest.raises(PreconditionError):
         sp.find_l_r_or_homogeneous((1, 2, 3), (1, 3, 2), (1, 2))  # not left
     with pytest.raises(PreconditionError):
         sp.find_l_r_or_homogeneous((1, 2, 3), (2, 1), (2, 3, 1))  # not right
+    for left, right in [((), (1, 2)), ((2, 1), ())]:
+        with pytest.raises(ParameterError, match="pattern must be non-empty"):
+            sp.find_l_r_or_homogeneous(range(20), left, right)
+    # a chain that failed its re-check is raised, never returned
+    monkeypatch.setattr(sp, "_fence_chain", lambda s, thr: (1, 2, 3))
+    with pytest.raises(RuntimeError, match="not homogeneous"):
+        sp.find_l_r_or_homogeneous((1, 3, 2, 4, 5), (2, 3, 1), (1, 2))
 
 
 def test_extraction_random_revalidation():
@@ -481,20 +500,3 @@ def test_check_sequence_witness_failures():
     ]
     for kind, ix, left, needle in cases:
         assert needle in sp.check_sequence_witness(s, kind, ix, left, R)
-
-
-def test_extraction_deep_path_revalidation():
-    # a large override exponent drives the recursive branch at desk scale
-    rng = random.Random(1)
-    lefts = sp.enumerate_left_property_perms(3)
-    rights = sp.enumerate_right_property_perms(3)
-    kinds = set()
-    for _ in range(800):
-        n = rng.randint(10, 80)
-        s = tuple(rng.randint(0, 9) for _ in range(n))
-        L = rng.choice(lefts)
-        R = rng.choice(rights)
-        w = sp.find_l_r_or_homogeneous(s, L, R, _epsilon=0.72)
-        kinds.add(w.kind)
-        assert revalidates(s, w, L, R)
-    assert kinds == {"L", "R", "homogeneous"}
