@@ -105,7 +105,7 @@ def check_declared(path, line, **sizes):
 # Tables built from sizes given on the command line or in a witness spec (a
 # random colouring's C(n, k) edges and q colours, the exact oracle's C(n, t)
 # vertex sets) stop here; C(182, 3) = 988,260 random edges take one byte each,
-# and about 170 MB in CPython 3.11 once their edge table is built.
+# and verify keeps the colours of only the edges it reads.
 MAX_BUILT = 10**6
 
 DEFAULT_BUDGET = 10**9

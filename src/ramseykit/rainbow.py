@@ -65,10 +65,10 @@ def verify_rainbow(
     Each set's colours come from ``colouring.span``.  A stepped colouring
     colours an edge by its delta sequence alone, and the deltas inside a
     set are range maxima of the set's own deltas, so it computes a set's
-    span once per distinct delta sequence; a tabulated colouring reads its
-    table, and any other colouring memoizes edge colours.  Sets are visited
-    in the same order either way, and the report does not depend on how
-    spans are computed.  Sampling needs t <= n; exhaustively, t > n passes
+    span once per distinct delta sequence, and any other colouring
+    remembers each edge colour it has read.  Sets are visited in the same
+    order either way, and the report does not depend on how spans are
+    computed.  Sampling needs t <= n; exhaustively, t > n passes
     with no set checked.  Before any set is read, the budget is charged
     ``colouring.span_cost`` per set, C(t, k) edge evaluations or one lookup
     for a stepped colouring, for every t-set or every trial.

@@ -32,6 +32,7 @@ import functools
 import itertools
 import math
 import random
+import weakref
 from array import array
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -151,6 +152,26 @@ def parse_colour(text: str):
 # Colourings
 # ---------------------------------------------------------------------------
 
+class _Memo(dict):
+    """A dict that fills a missing key with ``fill(key)`` and keeps it.
+    ``fill`` is a bound method whose colouring is held weakly, so that no
+    reference cycle keeps a dropped colouring and its memos alive."""
+
+    __slots__ = ("owner", "func")
+
+    def __init__(self, fill):
+        self.owner = weakref.ref(fill.__self__)
+        self.func = fill.__func__
+
+    def __missing__(self, key):
+        value = self[key] = self.func(self.owner(), key)
+        return value
+
+    def __reduce__(self):
+        fill = self.func.__get__(self.owner())
+        return _Memo, (fill,), None, None, iter(self.items())
+
+
 class Colouring:
     """Total deterministic map from k-subsets of 1..n to colour ids."""
 
@@ -165,9 +186,9 @@ class Colouring:
             raise ParameterError("universe smaller than the uniformity")
         self.uniformity = uniformity
         self.num_vertices = num_vertices
-        self._palette_cache = None
-        # memo of span(): edge colours here, whole spans in stepped colourings
-        self._span_memo: dict = {}
+        # the colours span() reads, each computed once: keyed by edge here,
+        # by what the edge colour depends on in a stepped colouring
+        self._colour_memo = _Memo(self._colour)
 
     def check_edge(self, edge) -> tuple[int, ...]:
         e = tuple(sorted(edge))
@@ -197,15 +218,10 @@ class Colouring:
 
     def span(self, ts):
         """Colours of the edges inside ``ts``, a sorted tuple of distinct
-        vertices of the universe (not re-checked)."""
-        memo = self._span_memo
-        seen = set()
-        for e in itertools.combinations(ts, self.uniformity):
-            c = memo.get(e)
-            if c is None:
-                c = memo[e] = self._colour(e)
-            seen.add(c)
-        return seen
+        vertices of the universe (not re-checked).  Each edge is coloured
+        once per colouring, on first read; later reads are dict lookups."""
+        edges = itertools.combinations(ts, self.uniformity)
+        return set(map(self._colour_memo.__getitem__, edges))
 
     def span_cost(self, t: int) -> tuple[int, str]:
         """Work that :meth:`span` does for one t-set, and its unit."""
@@ -214,9 +230,11 @@ class Colouring:
     def palette(self) -> tuple:
         """Declared colour space, canonically ordered; reachable colours
         are always a subset."""
-        if self._palette_cache is None:
-            self._palette_cache = tuple(sorted(self._palette()))
-        return self._palette_cache
+        return self._sorted_palette
+
+    @functools.cached_property
+    def _sorted_palette(self) -> tuple:
+        return tuple(sorted(self._palette()))
 
     def _palette(self):
         raise NotImplementedError
@@ -254,10 +272,10 @@ class TabulatedColouring(Colouring):
     """Colouring stored as palette indices, one per edge in lexicographic
     order: edge e has colour ``colours[codes[rank(e)]]``.
 
-    ``table`` maps each edge to its colour.  A colouring built from a
-    mapping keeps it as its table, after checking that it colours every
-    k-subset from the palette; a colouring built from ``codes`` makes its
-    table on first use, which only :meth:`span` needs.
+    A colouring built from a mapping ``table`` of edges to colours checks
+    that it colours every k-subset from the palette, keeps its codes and
+    drops the mapping.  :meth:`span` reads edges by rank, remembering only
+    the edges it has read.
     """
 
     def __init__(self, uniformity, num_vertices, table, colours, kind="tabulated",
@@ -267,8 +285,7 @@ class TabulatedColouring(Colouring):
         self.kind = kind
         self.seed = seed
         if codes is None:
-            self.table = dict(table)
-            codes = self._codes_of(self.table)
+            codes = self._codes_of(table)
         self.codes = codes
 
     def _codes_of(self, table):
@@ -293,12 +310,6 @@ class TabulatedColouring(Colouring):
         return bytes(codes) if len(index) <= 256 else array("I", codes)
 
     @functools.cached_property
-    def table(self) -> dict:
-        # cached in the instance, so span's lookups read a plain attribute
-        colours = self._colours
-        return {e: colours[i] for e, i in zip(self._edges(), self.codes)}
-
-    @functools.cached_property
     def _ranks(self):
         return _rank_tables(self.uniformity, self.num_vertices)
 
@@ -307,10 +318,6 @@ class TabulatedColouring(Colouring):
 
     def edge_colours(self):
         return map(self._colours.__getitem__, self.codes)
-
-    def span(self, ts):
-        edges = itertools.combinations(ts, self.uniformity)
-        return set(map(self.table.__getitem__, edges))
 
     def _palette(self):
         return self._colours
@@ -531,24 +538,31 @@ class _Stepped(Colouring):
     them once per distinct sequence, from a table of those range maxima.
     """
 
+    def __init__(self, uniformity, num_vertices):
+        super().__init__(uniformity, num_vertices)
+        self._colour_memo = _Memo(self._dispatch_colour)
+        self._span_memo = _Memo(self._span_of_deltas)
+
+    def _dispatch_colour(self, key):
+        return self._dispatch(key)[1]
+
     def _colour(self, e):
         return self.colour_of_deltas(_edge_deltas(e))
 
     def span(self, ts):
-        ds = _edge_deltas(ts)
-        got = self._span_memo.get(ds)
-        if got is None:
-            t = len(ts)
-            top = [0] * (t * t)
-            for i in range(t - 1):
-                m = 0
-                for j in range(i + 1, t):
-                    if ds[j - 1] > m:
-                        m = ds[j - 1]
-                    top[i * t + j] = m
-            keys = {g(top) for g in _edge_delta_getters(t, self.uniformity)}
-            got = self._span_memo[ds] = frozenset(map(self.colour_of_deltas, keys))
-        return got
+        return self._span_memo[_edge_deltas(ts)]
+
+    def _span_of_deltas(self, ds):
+        t = len(ds) + 1
+        top = [0] * (t * t)
+        for i in range(t - 1):
+            m = 0
+            for j in range(i + 1, t):
+                if ds[j - 1] > m:
+                    m = ds[j - 1]
+                top[i * t + j] = m
+        keys = {g(top) for g in _edge_delta_getters(t, self.uniformity)}
+        return frozenset(map(self.colour_of_deltas, keys))
 
     def span_cost(self, t: int) -> tuple[int, str]:
         return 1, "set lookups"
@@ -584,13 +598,9 @@ class SteppedPlusOne(_Stepped):
         # the construction forces its colour count on vertex sets of size
         # t**(16**k + 1); witness reports name the count as their target
         self.forced_colours = partition.p - 2 if aliased else partition.p
-        self._memo: dict = {}
 
     def colour_of_deltas(self, ds: tuple[int, ...]):
-        got = self._memo.get(ds)
-        if got is None:
-            got = self._memo[ds] = self._dispatch(ds)[1]
-        return got
+        return self._colour_memo[ds]
 
     def _dispatch(self, ds):
         """``(case, colour)`` of a delta sequence: increasing, decreasing,
@@ -660,16 +670,12 @@ class SteppedDouble(_Stepped):
                 itertools.permutations(range(1, k + 1)), start=1
             )
         }
-        self._memo: dict = {}
 
     def colour_of_deltas(self, ds: tuple[int, ...]):
-        return self.colour_of_odd_deltas(ds[0::2])
+        return self._colour_memo[ds[0::2]]
 
     def colour_of_odd_deltas(self, odds: tuple[int, ...]):
-        got = self._memo.get(odds)
-        if got is None:
-            got = self._memo[odds] = self._dispatch(odds)[1]
-        return got
+        return self._colour_memo[odds]
 
     def _dispatch(self, odds):
         """``(case, colour)`` of the odd-position deltas: the permutation
@@ -751,7 +757,7 @@ class LiftedColouring(Colouring):
 
     def _colour(self, e):
         # ``e`` is sorted and in range, as ``span`` requires; copy the span,
-        # which a stepped base hands out from its memo
+        # which a stepped base hands out of its span memo
         got = set(self.base.span(e))
         if len(got) < self.p:
             missing = (c for c in self.base.palette() if c not in got)

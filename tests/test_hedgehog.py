@@ -408,7 +408,8 @@ class CountingTable(su.TabulatedColouring):
     its whole-universe passes and the edge colours those passes yield."""
 
     def __init__(self, base):
-        super().__init__(3, base.num_vertices, base.table, base.palette())
+        table = dict(zip(base._edges(), base.edge_colours()))
+        super().__init__(3, base.num_vertices, table, base.palette())
         self.calls = {"colour": 0, "_colour": 0, "edge_colours": 0, "yielded": 0}
 
     def edge_colours(self):

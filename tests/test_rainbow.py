@@ -1,8 +1,11 @@
 """Rainbow verification, random search, and the exact existence oracle."""
 
+import gc
 import itertools
 import math
+import pickle
 import random
+import weakref
 
 import pytest
 
@@ -161,6 +164,67 @@ def test_stepped_parallel_verify_matches_serial():
         assert rb.verify_rainbow(fresh, t, p, workers=2) == serial
 
 
+@pytest.mark.parametrize("make, t, p", [
+    (lambda: su.random_colouring(3, 10, 3, seed=7), 6, 3),
+    (lambda: su.random_colouring(2, 9, 2, seed=3), 4, 2),
+    (lambda: stepped(3, 4, 3, 11, [("up1", 3, 5)]), 6, 3),
+    (lambda: stepped(3, 4, 3, 12, [("up1", 3, 5)]), 7, 4),
+    (lambda: LiftedColouring(stepped(2, 4, 6, 1, [("up2", 2, 2)]), 5), 7, 1),
+    (lambda: LiftedColouring(stepped(2, 4, 6, 1, [("up2", 2, 2)]), 5), 7, 4),
+], ids=["tabulated", "tabulated-fails", "up1", "up1-fails", "lifted", "lifted-fails"])
+def test_parallel_verify_after_a_serial_run_matches_serial(make, t, p):
+    # the workers receive the colouring pickled with the memos the serial
+    # run filled, whose fills must come back bound to the copy
+    c = make()
+    serial = rb.verify_rainbow(c, t, p)
+    assert c._colour_memo
+    copy = pickle.loads(pickle.dumps(c))
+    assert dict(copy._colour_memo) == dict(c._colour_memo)
+    assert copy._colour_memo.owner() is copy
+    assert rb.verify_rainbow(copy, t, p) == serial
+    assert rb.verify_rainbow(c, t, p, workers=2) == serial
+    # no reference cycle runs through the memos: a dropped colouring is
+    # freed at once, without the cycle collector
+    gc.disable()
+    try:
+        gone = weakref.ref(c)
+        del c, copy
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
+class RecordingTable(su.TabulatedColouring):
+    """The codes of ``base``, recording every edge it colours."""
+
+    def __init__(self, base):
+        super().__init__(base.uniformity, base.num_vertices, None, base.palette(),
+                         codes=base.codes)
+        self.coloured = []
+
+    def _colour(self, e):
+        self.coloured.append(e)
+        return super()._colour(e)
+
+
+def test_sampled_verify_colours_each_edge_it_reads_once():
+    # 2,000 sampled 8-sets of C(182, 3) = 988,260 edges colour only the
+    # edges inside them, each once, and build no table of the rest
+    base = su.random_colouring(3, 182, 4, 1)
+    c = RecordingTable(base)
+    rep = rb.verify_rainbow(c, 8, 2, mode="sampled", trials=2000, seed=3)
+    assert rep == rb.verify_rainbow(base, 8, 2, mode="sampled", trials=2000, seed=3)
+    rng = random.Random(3)
+    read = {
+        e
+        for _ in range(2000)
+        for e in itertools.combinations(rb._sample_set(rng, 182, 8), 3)
+    }
+    assert len(c.coloured) == len(set(c.coloured)) == len(read)
+    assert len(read) <= 2000 * math.comb(8, 3)
+    assert set(c.coloured) == read
+
+
 class CountingLift(LiftedColouring):
     calls = 0
 
@@ -268,6 +332,24 @@ def reference_lex_least(k, n, q, t, p, budget):
         return list(colours) if dfs(0, 0) else None
     except BudgetExceededError:
         return "over"
+
+
+@pytest.mark.parametrize("q", range(2, 7))
+def test_exact_oracle_rainbow_triangles_follow_the_chromatic_index(q):
+    # every triangle spans 3 colours exactly when edges that share a vertex
+    # differ, so a (3, 3)-rainbow q-colouring of K_n exists exactly when
+    # the chromatic index of K_n, n - 1 for even n and n for odd n, is at
+    # most q; a witness is a proper edge colouring from the palette
+    for n in range(3, 9):
+        exists, wit = rb.exact_rainbow_exists(2, n, q, 3, 3)
+        assert exists == ((n - 1 if n % 2 == 0 else n) <= q), n
+        if not exists:
+            assert wit is None
+            continue
+        colour = dict(zip(wit._edges(), wit.edge_colours()))
+        assert set(colour.values()) <= set(wit.palette()) and wit.budget == q
+        for v in range(1, n + 1):
+            assert len({col for e, col in colour.items() if v in e}) == n - 1
 
 
 def test_exact_oracle_matches_unpruned_search():

@@ -40,7 +40,7 @@ def test_random_colouring_reproduces_randrange_stream(q):
             }
             c = su.random_colouring(k, n, q, seed)
             assert list(c.edge_colours()) == list(want.values())
-            assert c.table == want and c.palette() == palette
+            assert dict(zip(c._edges(), c.edge_colours())) == want and c.palette() == palette
 
 
 def test_rank_tables_match_enumeration():
@@ -68,15 +68,16 @@ def test_rank_colour_matches_mapping():
                 assert mapped._colour(e) == mapped.colour(e[::-1]) == table[e]
                 assert drawn._colour(e) == drawn.colour(e[::-1]) == want[e]
             assert "table" not in vars(drawn)  # single edges need no table
-            assert drawn.table == want
+            assert dict(zip(drawn._edges(), drawn.edge_colours())) == want
 
 
 def test_edge_colours_follow_combinations_order(base36, part35):
     edges = list(itertools.combinations(range(1, 7), 3))
-    shuffled = dict(random.Random(1).sample(list(base36.table.items()), len(edges)))
+    table = dict(zip(base36._edges(), base36.edge_colours()))
+    shuffled = dict(random.Random(1).sample(list(table.items()), len(edges)))
     mapped = su.TabulatedColouring(3, 6, shuffled, base36.palette())
-    assert list(mapped.edge_colours()) == [base36.table[e] for e in edges]
-    assert list(base36.edge_colours()) == [base36.table[e] for e in edges]
+    assert list(mapped.edge_colours()) == [table[e] for e in edges]
+    assert list(base36.edge_colours()) == [table[e] for e in edges]
     up1 = su.step_up_1(su.random_colouring(3, 4, 3, seed=1), part35)
     assert list(up1.edge_colours()) == [
         up1.colour(e) for e in itertools.combinations(range(1, 17), 4)
@@ -399,8 +400,9 @@ def test_schedule_parsing_roundtrip():
 def _format_from_table(c):
     """The export as written from a sorted edge table."""
     lines = [f"{c.uniformity} {c.num_vertices} {c.budget}"]
-    for e in sorted(c.table):
-        lines.append(" ".join(map(str, e)) + " " + su.colour_str(c.table[e]))
+    table = dict(zip(c._edges(), c.edge_colours()))
+    for e in sorted(table):
+        lines.append(" ".join(map(str, e)) + " " + su.colour_str(table[e]))
     return "\n".join(lines) + "\n"
 
 
@@ -419,7 +421,9 @@ def test_format_tabulated_from_codes_matches_table():
 def test_tabulated_roundtrip(base36):
     text = su.format_tabulated(base36)
     back = su.parse_tabulated(text)
-    assert back.table == base36.table
+    assert dict(zip(back._edges(), back.edge_colours())) == dict(
+        zip(base36._edges(), base36.edge_colours())
+    )
     assert back.budget == base36.budget
     with pytest.raises(FileFormatError):
         su.parse_tabulated("2 4\n")
