@@ -581,7 +581,8 @@ def _preset_lemma_k5_13(args):
     base, base_report, attempts = _random_base(args, 4, n, q, t, 6)
     lifted = hedgehog.lift_colouring(base, 5)
     spread = hedgehog.verify_hedgehog_spread(
-        lifted, t, 1, base_report=base_report, embeddings=0, seed=args.seed
+        lifted, t, 1, base_report=base_report, embeddings=0, seed=args.seed,
+        budget=args.budget,
     )
     stages = [
         {"stage": "random base", "attempts": attempts,

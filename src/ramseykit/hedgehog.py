@@ -324,13 +324,14 @@ def verify_hedgehog_spread(
     """Certify the pigeonhole chain for every body and spot-check embeddings.
 
     The base colouring must verify (t, p'*p + 1)-rainbow exhaustively
-    (done here when no passing report is supplied).  Every t-set body is
-    then certified, and ``embeddings`` random placements with random
-    disjoint private vertices are evaluated through the lifted colouring;
-    each must span at least p'+1 distinct colour sets.  Before any
-    placement is drawn the budget is charged C(t, s) lifted colours per
-    embedding, one per spine edge, and BudgetExceededError is raised if
-    that exceeds ``budget``.
+    (done here, within ``budget``, when no passing report is supplied).
+    Every t-set body is then certified, and ``embeddings`` random
+    placements with random disjoint private vertices are evaluated through
+    the lifted colouring; each must span at least p'+1 distinct colour
+    sets.  Each stage is charged against ``budget`` before it runs, and
+    BudgetExceededError is raised if the charge exceeds it: the body scan
+    C(n, t) times the base's span cost of one t-set, the placements C(t, s)
+    lifted colours per embedding, one per spine edge.
     """
     base = lifted.base
     s = base.uniformity
@@ -338,7 +339,8 @@ def verify_hedgehog_spread(
     p = lifted.p
     need = p_prime * p + 1
     if base_report is None:
-        base_report = _rainbow.verify_rainbow(base, t, need, mode="exhaustive")
+        base_report = _rainbow.verify_rainbow(base, t, need, mode="exhaustive",
+                                              budget=budget)
     if not base_report.passed or base_report.t != t or base_report.p < need:
         raise PreconditionError(
             f"base colouring is not verified ({t}, {need})-rainbow"
@@ -352,6 +354,15 @@ def verify_hedgehog_spread(
         )
 
     bodies = math.comb(n, t)
+    per_body, unit = base.span_cost(t)
+    work = bodies * per_body
+    if work > budget:
+        raise BudgetExceededError(
+            f"spread check of {bodies} bodies needs about {work} {unit}, "
+            f"budget is {budget}",
+            estimate=work,
+            budget=budget,
+        )
     min_span = min(
         map(len, map(base.span, itertools.combinations(range(1, n + 1), t)))
     )

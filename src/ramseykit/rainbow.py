@@ -199,7 +199,10 @@ def search_random_rainbow(
 
     Returns ``(colouring, report, attempts)`` on success; ``None`` after
     ``max_attempts`` failures (a report of failure, not a proof of
-    non-existence).  Attempt ``i`` uses seed ``seed + i``.
+    non-existence).  Attempt ``i`` uses seed ``seed + i``.  Each attempt
+    costs C(n, t) * C(t, k) edge evaluations against one ``budget`` for
+    the whole search; BudgetExceededError is raised before an attempt
+    that would exceed it.
     """
     if t < k:
         raise ParameterError(f"t = {t} below the uniformity {k}")
@@ -209,7 +212,19 @@ def search_random_rainbow(
         raise ParameterError("max_attempts must be positive")
     if p > q:
         return None  # q colours can never span more than q
+    # refuse what random_colouring refuses before charging any attempt
+    _check_palette(q)
+    _check_built("edges", n, k)
+    per_attempt = math.comb(n, t) * math.comb(t, k)
     for attempt in range(max_attempts):
+        work = (attempt + 1) * per_attempt
+        if work > budget:
+            raise BudgetExceededError(
+                f"random search needs about {work} edge evaluations by "
+                f"attempt {attempt + 1}, budget is {budget}",
+                estimate=work,
+                budget=budget,
+            )
         colouring = random_colouring(k, n, q, seed=seed + attempt)
         report = verify_rainbow(colouring, t, p, mode="exhaustive", budget=budget)
         if report.passed:

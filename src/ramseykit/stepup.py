@@ -640,6 +640,44 @@ class SteppedPlusOne(_Stepped):
             info["base"] = self.base.explain(sorted(ds))
         return info
 
+    def _targets(self):
+        """``(label, patterns)`` per forced colour: each pattern class (its
+        left and right representatives first), then the two monotone
+        directions unless they alias a class."""
+        part = self.partition
+        targets = []
+        for i in range(1, part.p - 1):
+            ordered = [part.left_reps[i - 1], part.right_reps[i - 1]]
+            ordered += sorted(q for q in part.classes[i - 1] if q not in ordered)
+            targets.append((f"class {i}", ordered))
+        if not self.aliased:
+            targets.append(("increasing", [tuple(range(1, part.k + 1))]))
+            targets.append(("decreasing", [tuple(range(part.k, 0, -1))]))
+        return targets
+
+    def _realize(self, ds, pattern):
+        ix = seqpat.contains_max_induced(ds.deltas, pattern)
+        return None if ix is None else delta.realize_max_induced(ds, ix)
+
+    def _fallback(self, label, host):
+        length, wit = seqpat.longest_homogeneous_max_induced(host)
+        return {"reason": "homogeneous", "missing": label, "delta_indices": wit,
+                "delta_values": tuple(host[i - 1] for i in wit),
+                "host_deltas": host, "length": length}
+
+    def _fallback_holds(self, b, host) -> bool:
+        patterns = dict(self._targets()).get(b.get("missing"), ())
+        ix = b.get("delta_indices", ())
+        return (
+            b.get("reason") == "homogeneous"
+            and bool(patterns)
+            and tuple(b.get("host_deltas", ())) == host
+            and b.get("length") == len(ix)
+            and seqpat.check_sequence_witness(host, "homogeneous", ix, (), ()) is None
+            and tuple(b.get("delta_values", ())) == seqpat.subsequence(host, ix)
+            and all(seqpat.contains_max_induced(host, q) is None for q in patterns)
+        )
+
 
 class SteppedDouble(_Stepped):
     """Colouring of the 2k-subsets of 1..2^n built from one of K_n^(k).
@@ -707,6 +745,28 @@ class SteppedDouble(_Stepped):
             "case": case,
             "colour": colour_str(colour),
         }
+
+    def _targets(self):
+        """``(permutation, [permutation])`` for each of the first p."""
+        perms = itertools.permutations(range(1, self.base.uniformity + 1))
+        return [(perm, [perm]) for perm in itertools.islice(perms, self.p)]
+
+    def _realize(self, ds, perm):
+        ix = seqpat.contains_separated_permutation(ds.deltas, perm)
+        return None if ix is None else delta.realize_separated(ds, ix)
+
+    def _fallback(self, perm, host):
+        return {"reason": "separated-missing", "permutation": perm,
+                "distinct_deltas": len(set(host))}
+
+    def _fallback_holds(self, b, host) -> bool:
+        perm = b.get("permutation")
+        return (
+            b.get("reason") == "separated-missing"
+            and perm in [label for label, _ in self._targets()]
+            and b.get("distinct_deltas") == len(set(host))
+            and seqpat.contains_separated_permutation(host, perm) is None
+        )
 
 
 def step_up_1(base: Colouring, partition: PatternClassPartition) -> SteppedPlusOne:
@@ -910,8 +970,12 @@ class WitnessReport:
 
     ``outcome`` is ``"p-colours"`` with ``edges`` holding pairwise
     distinctly coloured edges, or ``"branch"`` with ``branch`` explaining
-    which fallback applies (too-small set, homogeneous delta subsequence,
-    or a permutation with no separated realization).
+    which case of the lemma applies instead: a set of at most k vertices
+    (``too-small``), or the construction's own fallback, a homogeneous
+    delta subsequence for ``up1``/``up1b`` (``homogeneous``) or a
+    permutation with no separated realization for ``up2``
+    (``separated-missing``).  ``target`` is the construction's forced
+    colour count either way.
     """
 
     outcome: str
@@ -920,8 +984,18 @@ class WitnessReport:
     branch: dict | None = None
 
     def revalidate(self, colouring: Colouring, vertices) -> bool:
-        """Re-check the edges or the branch against ``vertices``; a branch
-        with an unknown reason fails."""
+        """Re-check the report against ``vertices``.
+
+        The target must be the colouring's forced colour count.  Edges are
+        re-coloured and must lie inside the set with pairwise distinct
+        colours; a ``too-small`` branch needs at most k vertices; any other
+        branch is re-checked by the colouring's own fallback, so a reason
+        that belongs to the other construction, or to none, fails.
+        """
+        if not isinstance(colouring, _Stepped):
+            return False
+        if self.target != colouring.forced_colours:
+            return False
         vs = set(vertices)
         if self.outcome == "p-colours":
             if len(self.edges) != self.target:
@@ -934,137 +1008,58 @@ class WitnessReport:
                     return False
                 seen.add(col)
             return len(seen) == self.target
-        b = self.branch or {}
-        if b.get("reason") == "too-small":
-            return len(vs) <= colouring.uniformity and b["size"] == len(vs)
-        if b.get("reason") not in ("homogeneous", "separated-missing"):
-            return False
+        b = (self.branch if self.outcome == "branch" else None) or {}
+        if len(vs) <= colouring.uniformity:
+            return b.get("reason") == "too-small" and b.get("size") == len(vs)
         host = delta.delta_sequence_of_ints(
             [v - 1 for v in sorted(vs)], colouring.base.num_vertices
         ).deltas
-        if b["reason"] == "separated-missing":
-            return seqpat.contains_separated_permutation(host, b["permutation"]) is None
-        if not isinstance(colouring, SteppedPlusOne):
-            return False
-        ix = b["delta_indices"]
-        patterns = dict(_plus_one_targets(colouring)).get(b["missing"], ())
-        return (
-            tuple(b["host_deltas"]) == tuple(host)
-            and bool(patterns)
-            and seqpat.check_sequence_witness(host, "homogeneous", ix, (), ()) is None
-            and tuple(b["delta_values"]) == seqpat.subsequence(host, ix)
-            and all(seqpat.contains_max_induced(host, q) is None for q in patterns)
-        )
+        return colouring._fallback_holds(b, host)
 
 
 def witness_p_colours(colouring: Colouring, vertices) -> WitnessReport:
     """Find edges spanning the construction's forced colour count.
 
-    For a subset of a doubled universe, realizes one edge per pattern
-    class (plus the two monotone directions) or per permutation tag, all
-    inside the subset, with pairwise distinct colours; each edge is
-    re-evaluated through the colouring before being reported.  When some
-    class or permutation has no realization at this scale the report
-    carries the explaining branch instead.
+    For a subset of a doubled universe, the construction lists its forced
+    colours, each with the patterns that realize it: each pattern class
+    (plus the two monotone directions) for ``up1``/``up1b``, each of the
+    first p permutations for ``up2``.  For each colour in turn the first
+    pattern found in the subset's delta sequence is lifted to an edge
+    inside the subset and re-coloured through the colouring; the edges
+    span pairwise distinct colours.  When some colour has no pattern at
+    this scale the report carries the construction's fallback branch
+    instead, and a set of at most k vertices reports ``too-small``.
     """
     if not isinstance(colouring, _Stepped):
         raise ParameterError("witness extraction needs a stepped-up colouring")
     vs = sorted(set(vertices))
     if any(v < 1 or v > colouring.num_vertices for v in vs):
         raise ParameterError("vertices outside the universe")
+    target = colouring.forced_colours
     if len(vs) <= colouring.uniformity:
         return WitnessReport(
-            outcome="branch",
-            target=colouring.forced_colours,
+            outcome="branch", target=target,
             branch={"reason": "too-small", "size": len(vs)},
         )
     ds = delta.delta_sequence_of_ints(
         [v - 1 for v in vs], colouring.base.num_vertices
     )
-    if isinstance(colouring, SteppedPlusOne):
-        return _witness_plus_one(colouring, ds)
-    return _witness_double(colouring, ds)
-
-
-def _edge_of(vertices) -> tuple[int, ...]:
-    """Vertex labels of realized host vertices (label = value + 1)."""
-    return tuple(w.value + 1 for w in vertices)
-
-
-def _plus_one_targets(c: SteppedPlusOne):
-    """``(label, patterns)`` per colour the witness must realize: each
-    pattern class (its left and right representatives first), then the
-    two monotone directions unless they alias a class."""
-    part = c.partition
-    k = part.k
-    targets = []
-    for i in range(1, part.p - 1):
-        cls = part.classes[i - 1]
-        ordered = [part.left_reps[i - 1], part.right_reps[i - 1]]
-        ordered += sorted(q for q in cls if q not in ordered)
-        targets.append((f"class {i}", ordered))
-    if not c.aliased:
-        targets.append(("increasing", [tuple(range(1, k + 1))]))
-        targets.append(("decreasing", [tuple(range(k, 0, -1))]))
-    return targets
-
-
-def _witness_plus_one(c: SteppedPlusOne, ds: delta.DeltaSeq):
-    host = ds.deltas
     edges = []
-    for label, patterns in _plus_one_targets(c):
-        ix = None
+    for label, patterns in colouring._targets():
         for q in patterns:
-            ix = seqpat.contains_max_induced(host, q)
-            if ix is not None:
+            hit = colouring._realize(ds, q)
+            if hit is not None:
                 break
-        if ix is None:
-            length, wit = seqpat.longest_homogeneous_max_induced(host)
+        else:
             return WitnessReport(
-                outcome="branch",
-                target=c.forced_colours,
-                branch={
-                    "reason": "homogeneous",
-                    "missing": label,
-                    "delta_indices": wit,
-                    "delta_values": tuple(host[i - 1] for i in wit),
-                    "host_deltas": host,
-                    "length": length,
-                },
+                outcome="branch", target=target,
+                branch=colouring._fallback(label, ds.deltas),
             )
-        edge = _edge_of(delta.realize_max_induced(ds, ix))
-        edges.append((edge, c.colour(edge)))
-
-    colours = {col for _, col in edges}
-    if len(colours) != len(edges):
+        edge = tuple(w.value + 1 for w in hit)
+        edges.append((edge, colouring.colour(edge)))
+    if len({col for _, col in edges}) != len(edges):
         raise RuntimeError("realized edges failed to span distinct colours")
-    return WitnessReport(outcome="p-colours", target=len(edges), edges=tuple(edges))
-
-
-def _witness_double(c: SteppedDouble, ds: delta.DeltaSeq):
-    host = ds.deltas
-    k = c.base.uniformity
-    edges = []
-    for i, perm in enumerate(itertools.permutations(range(1, k + 1)), start=1):
-        if i > c.p:
-            break
-        ix = seqpat.contains_separated_permutation(host, perm)
-        if ix is None:
-            return WitnessReport(
-                outcome="branch",
-                target=c.p,
-                branch={
-                    "reason": "separated-missing",
-                    "permutation": perm,
-                    "distinct_deltas": len(set(host)),
-                },
-            )
-        edge = _edge_of(delta.realize_separated(ds, ix))
-        edges.append((edge, c.colour(edge)))
-    colours = {col for _, col in edges}
-    if len(colours) != len(edges):
-        raise RuntimeError("realized edges failed to span distinct colours")
-    return WitnessReport(outcome="p-colours", target=c.p, edges=tuple(edges))
+    return WitnessReport(outcome="p-colours", target=target, edges=tuple(edges))
 
 
 # ---------------------------------------------------------------------------

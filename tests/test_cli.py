@@ -152,6 +152,10 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
           "--budget", "1000"], "budget exceeded: 1000000 sampled witnesses"),
         (["preset", "--name", "hedgehog-lower", "--samples", "1000000000",
           "--budget", "100000"], "budget exceeded: spread check of 1000000000"),
+        # random search charges every attempt against one budget
+        (["search-random", "--k", "2", "--n", "6", "--q", "2", "--t", "3",
+          "--p", "2", "--attempts", "1000000000", "--budget", "100"],
+         "budget exceeded: random search needs about 120 edge evaluations"),
         # so does sampled verify: trials times the span cost of one set
         (["verify", "--random-base", "2", "6", "2", "1", "--t", "3", "--p", "1",
           "--sample", "1000000000000", "--budget", "10"],

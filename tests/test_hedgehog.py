@@ -358,6 +358,21 @@ def test_spread_charges_each_embedding_its_lifted_colours():
                                   embeddings=300, seed=5, budget=1799)
 
 
+def test_spread_charges_the_base_check_and_the_body_scan():
+    base, rep, _ = rb.search_random_rainbow(2, 10, 16, 4, 4, max_attempts=50,
+                                            seed=2024)
+    lifted = hh.lift_colouring(base, 3)
+    # both scan C(10, 4) = 210 bodies of C(4, 2) = 6 edges each
+    with pytest.raises(BudgetExceededError, match="exhaustive verification"):
+        hh.verify_hedgehog_spread(lifted, 4, 1, embeddings=0, budget=10)
+    with pytest.raises(BudgetExceededError, match="210 bodies needs about 1260"):
+        hh.verify_hedgehog_spread(lifted, 4, 1, base_report=rep, embeddings=0,
+                                  budget=10)
+    spread = hh.verify_hedgehog_spread(lifted, 4, 1, base_report=rep,
+                                       embeddings=0, budget=1260)
+    assert spread.passed and spread.bodies_checked == 210
+
+
 def test_spread_vacuous_when_body_below_uniformity():
     base = su.random_colouring(2, 10, 16, seed=2032)
     lifted = hh.lift_colouring(base, 3)

@@ -190,3 +190,31 @@ def test_no_public_signature_has_a_test_hook(tmp_path):
     assert hook_parameters(lib) == ["lib.py:1: f(_eps)", "lib.py:4: K.m(_seed)"]
     modules = sorted(PACKAGE.glob("*.py"))
     assert [h for p in modules for h in hook_parameters(p)] == []
+
+
+def isinstance_names(path):
+    """``(line, name)`` of every name that an ``isinstance`` call in
+    ``path`` tests against, tuple members included."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            kinds = node.args[1]
+            for n in kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]:
+                if isinstance(n, ast.Name):
+                    out.append((node.lineno, n.id))
+    return out
+
+
+def test_witnesses_dispatch_on_no_concrete_construction(tmp_path):
+    """Witness extraction and re-validation ask each stepped colouring for
+    its own targets and fallback; no ``isinstance`` in ``stepup.py`` picks
+    a concrete construction."""
+    lib = tmp_path / "lib.py"
+    lib.write_text("isinstance(c, SteppedDouble)\nisinstance(c, (A, SteppedPlusOne))\n")
+    assert isinstance_names(lib) == [
+        (1, "SteppedDouble"), (2, "A"), (2, "SteppedPlusOne"),
+    ]
+    concrete = {"SteppedPlusOne", "SteppedDouble"}
+    named = isinstance_names(PACKAGE / "stepup.py")
+    assert named and [(line, n) for line, n in named if n in concrete] == []

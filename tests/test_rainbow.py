@@ -272,6 +272,19 @@ def test_search_random_rainbow():
     assert rb.verify_rainbow(again, 6, 3).passed
 
 
+def test_search_charges_every_attempt_against_one_budget():
+    # each attempt verifies C(12, 6) = 924 sets of C(6, 2) = 15 edges
+    per_attempt = 924 * 15
+    got = rb.search_random_rainbow(2, 12, 3, 6, 3, max_attempts=100, seed=3)
+    assert got[2] == 8
+    fits = rb.search_random_rainbow(2, 12, 3, 6, 3, max_attempts=100, seed=3,
+                                    budget=8 * per_attempt)
+    assert fits[0].seed == got[0].seed and fits[2] == 8
+    with pytest.raises(BudgetExceededError, match=f"about {8 * per_attempt} edge"):
+        rb.search_random_rainbow(2, 12, 3, 6, 3, max_attempts=100, seed=3,
+                                 budget=8 * per_attempt - 1)
+
+
 def test_search_impossible_cases():
     assert rb.search_random_rainbow(2, 6, 1, 3, 2, max_attempts=3, seed=0) is None
     with pytest.raises(ParameterError):

@@ -1,5 +1,6 @@
 """Pattern-class partitions, doubling colourings, schedules, witnesses."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -512,10 +513,69 @@ def test_forged_branch_reports_fail_revalidation(base36, part35):
         (range(1, 7), {"delta_indices": (1, 3), "delta_values": (1, 1)}),
         (range(1, 7), {"missing": "class 1"}),
         (range(1, 7), {"missing": "class 9"}),
+        (range(1, 7), {"length": 99}),
     ]
     for vertices, fields in forgeries:
         forged = su.WitnessReport("branch", 5, branch={**homog.branch, **fields})
         assert not forged.revalidate(up1, vertices), fields
+    # each construction owns its fallback, and the target is its forced count
+    assert su.witness_p_colours(up1, range(1, 9)).outcome == "p-colours"
+    first = su.witness_p_colours(up1, range(1, 65)).edges[0]
+    up2p2 = su.step_up_2(base36, 2)
+    assert missing.branch["permutation"] == (1, 2, 3)
+    separated = {"reason": "separated-missing", "distinct_deltas": 3}
+    forged_reports = [
+        # (1, 2, 3) has no separated realization in 1..8, but up1 has no
+        # such fallback
+        (up1, range(1, 9), su.WitnessReport(
+            "branch", 5, branch={**separated, "permutation": (1, 2, 3)})),
+        # (3, 2, 1) is missing too, but it is not among the first p = 2
+        (up2p2, range(1, 8), su.WitnessReport(
+            "branch", 2, branch={**separated, "permutation": (3, 2, 1)})),
+        # a malformed permutation is rejected, not raised on
+        (up2, range(1, 8), su.WitnessReport(
+            "branch", 3, branch={**separated, "permutation": (1, 1, 2)})),
+        (up1, [5, 9], su.WitnessReport(
+            "branch", 99, branch={"reason": "too-small", "size": 2})),
+        (up1, range(1, 65), su.WitnessReport("p-colours", 1, edges=(first,))),
+        # a true branch under an unknown outcome or the other reason
+        (up1, range(1, 7), su.WitnessReport("bogus", 5, branch=homog.branch)),
+        (up1, range(1, 7), su.WitnessReport(
+            "branch", 5, branch={**homog.branch, "reason": "separated-missing"})),
+        (up2, range(1, 8), su.WitnessReport(
+            "branch", 3, branch={**missing.branch, "reason": "homogeneous"})),
+        (up2, range(1, 8), su.WitnessReport(
+            "branch", 3, branch={**missing.branch, "distinct_deltas": 4})),
+    ]
+    for c, vertices, forged in forged_reports:
+        assert not forged.revalidate(c, vertices), forged
+
+
+def test_witness_reports_are_pinned(base36, part35):
+    """Witness reports on 1,600 seeded vertex sets, every outcome and
+    branch reason among them, hash to a fixed digest."""
+    colourings = [
+        ("up1", su.step_up_1(base36, part35)),
+        ("up1b", su.step_up_1b(base36, part35)),
+        ("up2p3", su.step_up_2(base36, 3)),
+        ("up2p6", su.step_up_2(base36, 6)),
+    ]
+    rng = random.Random(22)
+    digest = hashlib.sha256()
+    kinds = set()
+    for name, c in colourings:
+        for _ in range(400):
+            vs = sorted(rng.sample(range(1, 65), rng.randint(2, 40)))
+            rep = su.witness_p_colours(c, vs)
+            kinds.add((rep.outcome, (rep.branch or {}).get("reason")))
+            digest.update(repr(
+                (name, vs, rep.outcome, rep.target, rep.edges, rep.branch)
+            ).encode())
+    assert kinds == {("p-colours", None), ("branch", "too-small"),
+                     ("branch", "homogeneous"), ("branch", "separated-missing")}
+    assert digest.hexdigest() == (
+        "3620a6164a0bf012cbfc6c8033819fa803e9a93e5c1581a2d14b5babdce6dba7"
+    )
 
 
 # --- determinism ---------------------------------------------------------------
