@@ -28,6 +28,7 @@ from .errors import (
     IncompleteSearchError,
     ParameterError,
     PreconditionError,
+    charge,
     ints,
     records,
 )
@@ -469,13 +470,7 @@ def _witness_stage(c, sets, sizes, seed, budget):
     re-colours, ``c.forced_colours``, per sampled set; more than
     ``budget`` raises BudgetExceededError."""
     work = sets * c.forced_colours
-    if work > budget:
-        raise BudgetExceededError(
-            f"{sets} sampled witnesses re-colour up to {work} edges, "
-            f"budget is {budget}",
-            estimate=work,
-            budget=budget,
-        )
+    charge(work, budget, f"{sets} sampled witnesses re-colour up to {work} edges")
     rng = random.Random(seed)
     outcomes = {"p-colours": 0, "branch": 0}
     examples = []
@@ -616,7 +611,8 @@ def _add_common(p, root: bool):
         "--budget",
         type=int,
         default=d(DEFAULT_BUDGET),
-        help="work budget in elementary edge evaluations",
+        help="work budget of a stage: edge evaluations, set lookups, "
+        "re-coloured witness edges, lifted colours or search nodes",
     )
     p.add_argument("--workers", type=int, default=d(1))
     p.add_argument("--seed", type=int, default=d(0))

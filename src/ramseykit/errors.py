@@ -20,18 +20,11 @@ class PreconditionError(RamseyKitError, ValueError):
 
 
 class BudgetExceededError(RamseyKitError, RuntimeError):
-    """An exhaustive search would exceed the configured work budget.
+    """A search or check would do more work than its budget allows.
 
-    ``estimate`` carries the estimated number of elementary steps and
-    ``budget`` the configured limit.  ``partial`` may carry certified
-    partial results (e.g. bounds from an interrupted branch-and-bound).
+    Raised by :func:`charge` before (or, for a branch-and-bound, while) the
+    work is done; the message names the stage, its work and the budget.
     """
-
-    def __init__(self, message, estimate=None, budget=None, partial=None):
-        super().__init__(message)
-        self.estimate = estimate
-        self.budget = budget
-        self.partial = partial
 
 
 class IncompleteSearchError(RamseyKitError, RuntimeError):
@@ -109,3 +102,11 @@ def check_declared(path, line, **sizes):
 MAX_BUILT = 10**6
 
 DEFAULT_BUDGET = 10**9
+
+
+def charge(work, budget, what, hint=None):
+    """Refuse ``work`` units above ``budget``: raise BudgetExceededError
+    ``"<what>, budget is <budget>"``, followed by ``"; <hint>"`` if given."""
+    if work > budget:
+        tail = f"; {hint}" if hint else ""
+        raise BudgetExceededError(f"{what}, budget is {budget}{tail}")

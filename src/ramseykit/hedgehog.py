@@ -16,7 +16,7 @@ import heapq
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     BudgetExceededError,
@@ -26,6 +26,7 @@ from .errors import (
     ParameterError,
     PreconditionError,
     IncompleteSearchError,
+    charge,
     check_declared,
     ints,
     records,
@@ -192,17 +193,22 @@ def degeneracy(h: Hypergraph) -> int:
 
 @dataclass(frozen=True)
 class PiercingResult:
+    """Certified bounds on a piercing number, with a hitting set of size
+    ``upper``; ``nodes`` counts the search nodes spent, one past the
+    budget when it ran out."""
+
     lower: int
     upper: int
     witness: tuple[int, ...]
     exact: bool
+    nodes: int = field(default=0, compare=False)
 
     @property
     def value(self) -> int:
         if not self.exact:
             raise BudgetExceededError(
-                "piercing number only bounded, not exact",
-                partial=(self.lower, self.upper),
+                f"piercing number only bounded in [{self.lower}, {self.upper}], "
+                "not exact"
             )
         return self.lower
 
@@ -278,8 +284,8 @@ def _min_hitting_set(sets, budget: int) -> PiercingResult:
             if not (s & used):
                 lower += 1
                 used |= s
-        return PiercingResult(lower, best_size, tuple(best), False)
-    return PiercingResult(best_size, best_size, tuple(best), True)
+        return PiercingResult(lower, best_size, tuple(best), False, nodes)
+    return PiercingResult(best_size, best_size, tuple(best), True, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +330,8 @@ def verify_hedgehog_spread(
     """Certify the pigeonhole chain for every body and spot-check embeddings.
 
     The base colouring must verify (t, p'*p + 1)-rainbow exhaustively
-    (done here, within ``budget``, when no passing report is supplied).
+    (done here, within ``budget``, when no report is supplied); a sampled
+    or failing ``base_report`` raises PreconditionError.
     Every t-set body is then certified, and ``embeddings`` random
     placements with random disjoint private vertices are evaluated through
     the lifted colouring; each must span at least p'+1 distinct colour
@@ -341,9 +348,10 @@ def verify_hedgehog_spread(
     if base_report is None:
         base_report = _rainbow.verify_rainbow(base, t, need, mode="exhaustive",
                                               budget=budget)
-    if not base_report.passed or base_report.t != t or base_report.p < need:
+    if (not base_report.passed or base_report.coverage != "exhaustive"
+            or base_report.t != t or base_report.p < need):
         raise PreconditionError(
-            f"base colouring is not verified ({t}, {need})-rainbow"
+            f"base colouring is not verified ({t}, {need})-rainbow exhaustively"
         )
 
     n = base.num_vertices
@@ -356,13 +364,7 @@ def verify_hedgehog_spread(
     bodies = math.comb(n, t)
     per_body, unit = base.span_cost(t)
     work = bodies * per_body
-    if work > budget:
-        raise BudgetExceededError(
-            f"spread check of {bodies} bodies needs about {work} {unit}, "
-            f"budget is {budget}",
-            estimate=work,
-            budget=budget,
-        )
+    charge(work, budget, f"spread check of {bodies} bodies needs about {work} {unit}")
     min_span = min(
         map(len, map(base.span, itertools.combinations(range(1, n + 1), t)))
     )
@@ -376,13 +378,8 @@ def verify_hedgehog_spread(
     done = 0
     if t + n_priv <= n:
         work = embeddings * math.comb(t, s)
-        if work > budget:
-            raise BudgetExceededError(
-                f"spread check of {embeddings} embeddings needs {work} lifted "
-                f"colours, budget is {budget}",
-                estimate=work,
-                budget=budget,
-            )
+        charge(work, budget, f"spread check of {embeddings} embeddings needs "
+               f"{work} lifted colours")
         for _ in range(embeddings):
             body = _sample_set(rng, n, t)
             in_body = set(body)
@@ -643,14 +640,21 @@ def _co_degrees(flags, n):
 
 
 def _general_danger(colouring, n, k, thr, c1, c2, budget):
+    """Endangered (k+1)-sets by brute force: the up-front edge estimate is
+    charged first, and each piercing search draws its nodes from what is
+    left of ``budget``."""
     work = math.comb(n, k + 1) * math.comb(n - k - 1, k)
-    if work > budget:
-        raise BudgetExceededError(
-            f"classifying endangered sets needs about {work} edge "
-            f"evaluations, budget is {budget}",
-            estimate=work,
-            budget=budget,
-        )
+    charge(work, budget, f"classifying endangered sets needs about {work} edge "
+           "evaluations")
+
+    def pierce(hosts):
+        nonlocal work
+        res = _min_hitting_set(hosts, budget - work)
+        work += res.nodes
+        charge(work, budget, f"classifying endangered sets needs at least {work} "
+               "edge evaluations and piercing nodes")
+        return res.value
+
     danger = {}
     universe = range(1, n + 1)
     for e in itertools.combinations(universe, k + 1):
@@ -660,11 +664,10 @@ def _general_danger(colouring, n, k, thr, c1, c2, budget):
         for extra in itertools.combinations(rest, k):
             col = colouring.colour(e + extra)
             (hosts1 if col == c1 else hosts2).append(frozenset(extra))
-        t1 = _min_hitting_set(hosts1, budget)
-        t2 = _min_hitting_set(hosts2, budget)
-        if t1.value < thr:
+        t1, t2 = pierce(hosts1), pierce(hosts2)
+        if t1 < thr:
             danger[e] = c1
-        elif t2.value < thr:
+        elif t2 < thr:
             danger[e] = c2
     return danger
 

@@ -15,7 +15,7 @@ import os
 import random
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceededError, DEFAULT_BUDGET, ParameterError
+from .errors import DEFAULT_BUDGET, ParameterError, charge
 from .stepup import Colouring, TabulatedColouring, random_colouring
 from .stepup import _check_built, _check_palette, _comb_upto, _sample_set
 
@@ -96,13 +96,8 @@ def verify_rainbow(
         raise ParameterError(f"t = {t} exceeds n = {n}: no {t}-set to sample")
     per_set, unit = colouring.span_cost(t)
     work = (trials if sampled else math.comb(n, t)) * per_set
-    if work > budget:
-        raise BudgetExceededError(
-            f"{mode} verification needs about {work} {unit}, budget is {budget}; "
-            + ("use fewer trials" if sampled else "use sampled mode"),
-            estimate=work,
-            budget=budget,
-        )
+    charge(work, budget, f"{mode} verification needs about {work} {unit}",
+           "use fewer trials" if sampled else "use sampled mode")
     if not sampled:
         firsts = range(1, n - t + 2)
         workers = min(workers, os.cpu_count() or 1)
@@ -202,7 +197,9 @@ def search_random_rainbow(
     non-existence).  Attempt ``i`` uses seed ``seed + i``.  Each attempt
     costs C(n, t) * C(t, k) edge evaluations against one ``budget`` for
     the whole search; BudgetExceededError is raised before an attempt
-    that would exceed it.
+    that would exceed it.  As in :func:`exact_rainbow_exists`, when there
+    are t-sets and p exceeds q or C(t, k), none can span p colours and
+    ``None`` is returned without drawing.
     """
     if t < k:
         raise ParameterError(f"t = {t} below the uniformity {k}")
@@ -210,21 +207,16 @@ def search_random_rainbow(
         raise ParameterError("q must be positive")
     if max_attempts < 1:
         raise ParameterError("max_attempts must be positive")
-    if p > q:
-        return None  # q colours can never span more than q
+    if n >= t and p > min(q, _comb_upto(t, k, q)):
+        return None  # no t-set can span p colours
     # refuse what random_colouring refuses before charging any attempt
     _check_palette(q)
     _check_built("edges", n, k)
     per_attempt = math.comb(n, t) * math.comb(t, k)
     for attempt in range(max_attempts):
         work = (attempt + 1) * per_attempt
-        if work > budget:
-            raise BudgetExceededError(
-                f"random search needs about {work} edge evaluations by "
-                f"attempt {attempt + 1}, budget is {budget}",
-                estimate=work,
-                budget=budget,
-            )
+        charge(work, budget, f"random search needs about {work} edge "
+               f"evaluations by attempt {attempt + 1}")
         colouring = random_colouring(k, n, q, seed=seed + attempt)
         report = verify_rainbow(colouring, t, p, mode="exhaustive", budget=budget)
         if report.passed:
@@ -295,11 +287,7 @@ def exact_rainbow_exists(
             return True
         nodes += 1
         if nodes > budget:
-            raise BudgetExceededError(
-                "exact oracle exceeded its node budget",
-                estimate=nodes,
-                budget=budget,
-            )
+            charge(nodes, budget, f"exact oracle needs at least {nodes} search nodes")
         if depth >= star:
             choices = range(1, min(q, used + 1) + 1)
         else:

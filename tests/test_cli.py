@@ -160,6 +160,20 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
         (["verify", "--random-base", "2", "6", "2", "1", "--t", "3", "--p", "1",
           "--sample", "1000000000000", "--budget", "10"],
          "budget exceeded: sampled verification needs about 3000000000000 edge"),
+        # exhaustive verify, the exact oracle's nodes, and the k = 2 find-mono
+        # piercing searches after their up-front estimate of 85680
+        (["verify", "--random-base", "3", "20", "2", "1", "--t", "8", "--p", "2",
+          "--budget", "1000"],
+         "budget exceeded: exhaustive verification needs about 7054320 edge "
+         "evaluations, budget is 1000; use sampled mode"),
+        (["exact-oracle", "--k", "2", "--n", "8", "--q", "3", "--t", "4", "--p",
+          "3", "--budget", "1000"],
+         "budget exceeded: exact oracle needs at least 1001 search nodes, "
+         "budget is 1000"),
+        (["hedgehog", "find-mono", "--random-base", "5", "18", "2", "1", "--t",
+          "3", "--budget", "100000"],
+         "budget exceeded: classifying endangered sets needs at least 100001 "
+         "edge evaluations and piercing nodes, budget is 100000"),
     ]
     for argv, needle in cases:
         code, _, err = run(capsys, *argv)

@@ -253,6 +253,22 @@ def test_min_hitting_set_matches_reference_dfs():
             ), (sets, budget)
 
 
+def test_piercing_nodes_are_the_least_budget_that_finishes():
+    rng = random.Random(23)
+    for _ in range(200):
+        universe = range(1, rng.randint(2, 10))
+        sets = [
+            rng.sample(universe, rng.randint(1, min(4, len(universe))))
+            for _ in range(rng.randint(0, 12))
+        ]
+        full = hh._min_hitting_set(sets, hh.DEFAULT_BUDGET)
+        again = hh._min_hitting_set(sets, full.nodes)
+        assert again.exact and again == full and again.nodes == full.nodes
+        if full.nodes:
+            cut = hh._min_hitting_set(sets, full.nodes - 1)
+            assert not cut.exact and cut.nodes == full.nodes
+
+
 # --- lifting --------------------------------------------------------------------
 
 def lifted_colour_oracle(base, e, p):
@@ -371,6 +387,18 @@ def test_spread_charges_the_base_check_and_the_body_scan():
     spread = hh.verify_hedgehog_spread(lifted, 4, 1, base_report=rep,
                                        embeddings=0, budget=1260)
     assert spread.passed and spread.bodies_checked == 210
+
+
+def test_spread_requires_an_exhaustive_base_report():
+    base = su.random_colouring(2, 10, 16, seed=5)
+    lifted = hh.lift_colouring(base, 3)
+    sampled = rb.verify_rainbow(base, 4, 4, mode="sampled", trials=3, seed=0)
+    exhaustive = rb.verify_rainbow(base, 4, 4)
+    # three lucky samples prove nothing: the base fails (4, 4)
+    assert sampled.passed and not exhaustive.passed
+    for rep in (sampled, exhaustive):
+        with pytest.raises(PreconditionError, match="exhaustively"):
+            hh.verify_hedgehog_spread(lifted, 4, 1, base_report=rep, embeddings=0)
 
 
 def test_spread_vacuous_when_body_below_uniformity():
@@ -519,6 +547,29 @@ def test_find_mono_guards():
         hh.find_mono_hedgehog(su.random_colouring(2, 30, 2, seed=0), 3)
     with pytest.raises(ParameterError):
         hh.find_mono_hedgehog(su.random_colouring(3, 81, 3, seed=0), 3)
+
+
+def test_find_mono_piercing_searches_share_one_budget():
+    # k = 2: the classification is charged C(10, 3)*C(7, 2) edge evaluations
+    # up front, then every piercing search's nodes against the same budget
+    c = su.random_colouring(5, 10, 2, seed=0)
+    c1, c2 = c.palette()
+    need = math.comb(10, 3) * math.comb(7, 2)
+    for e in itertools.combinations(range(1, 11), 3):
+        hosts = {c1: [], c2: []}
+        for extra in itertools.combinations(sorted(set(range(1, 11)) - set(e)), 2):
+            hosts[c.colour(e + extra)].append(extra)
+        need += sum(hh._min_hitting_set(hosts[col], hh.DEFAULT_BUDGET).nodes
+                    for col in (c1, c2))
+    assert need > 3 * math.comb(10, 3) * math.comb(7, 2)
+    # the whole budget gets past classification, to a body the colouring lacks
+    with pytest.raises(IncompleteSearchError) as exc:
+        hh.find_mono_hedgehog(c, 3, budget=need)
+    assert exc.value.stage == "body"
+    with pytest.raises(BudgetExceededError, match=(
+            f"^classifying endangered sets needs at least {need} edge "
+            f"evaluations and piercing nodes, budget is {need - 1}$")):
+        hh.find_mono_hedgehog(c, 3, budget=need - 1)
 
 
 def test_find_mono_vertex_endangered_on_both_sides(monkeypatch):

@@ -218,3 +218,45 @@ def test_witnesses_dispatch_on_no_concrete_construction(tmp_path):
     concrete = {"SteppedPlusOne", "SteppedDouble"}
     named = isinstance_names(PACKAGE / "stepup.py")
     assert named and [(line, n) for line, n in named if n in concrete] == []
+
+
+def budget_refusals(path):
+    """``(line, scope)`` of every ``BudgetExceededError(...)`` call in
+    ``path``; ``scope`` is the enclosing ``Class.method`` or function."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            f = getattr(child, "func", None)
+            if isinstance(child, ast.Call) and "BudgetExceededError" in (
+                    getattr(f, "id", None), getattr(f, "attr", None)):
+                out.append((child.lineno, scope))
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "")
+    return out
+
+
+def test_work_is_refused_only_through_charge(tmp_path):
+    """Every stage refuses work over its budget through ``errors.charge``;
+    the one other ``BudgetExceededError`` is an inexact piercing number
+    asked for its value, which charges nothing."""
+    lib = tmp_path / "lib.py"
+    lib.write_text(
+        "raise BudgetExceededError('a')\n"
+        "class K:\n"
+        "    def f(self):\n"
+        "        raise errors.BudgetExceededError('b')\n"
+    )
+    assert budget_refusals(lib) == [(1, ""), (4, "K.f")]
+    sites = [
+        f"{path.name}:{line}: {scope}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "errors.py"
+        for line, scope in budget_refusals(path)
+    ]
+    assert [s.split(": ", 1)[1] for s in sites] == ["PiercingResult.value"], sites
+    assert sites[0].startswith("hedgehog.py:")

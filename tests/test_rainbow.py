@@ -291,6 +291,20 @@ def test_search_impossible_cases():
         rb.search_random_rainbow(3, 10, 2, 2, 2)  # t < k
 
 
+def test_search_draws_nothing_when_no_set_can_span_p(monkeypatch):
+    def draw(*args, **kwargs):
+        raise AssertionError("random_colouring called")
+
+    monkeypatch.setattr(rb, "random_colouring", draw)
+    # a 4-set spans at most C(4, 3) = 4 edges, so none of 6 colours spans 5
+    assert rb.search_random_rainbow(3, 100, 6, 4, 5) is None
+    assert rb.search_random_rainbow(2, 6, 1, 3, 2, budget=0) is None  # p > q
+    monkeypatch.undo()
+    # with no t-set at all the first colouring passes, as verify says
+    colouring, report, attempts = rb.search_random_rainbow(2, 3, 2, 4, 3)
+    assert report.passed and report.sets_checked == 0 and attempts == 1
+
+
 def test_exact_oracle_reproduces_the_classic_bound():
     exists5, wit = rb.exact_rainbow_exists(2, 5, 2, 3, 2)
     assert exists5 and wit is not None
@@ -393,7 +407,8 @@ def test_exact_oracle_p_beyond_q_or_edges():
 
 
 def test_exact_oracle_budget():
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError,
+                       match="^exact oracle needs at least 6 search nodes, budget is 5$"):
         rb.exact_rainbow_exists(2, 7, 3, 4, 3, budget=5)
     # the star rule prunes: the n = 6 case of R(3,3) = 6 ends in 29 nodes,
     # against 174 with star blocks of any length and over 400 without
