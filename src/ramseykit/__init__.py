@@ -63,6 +63,7 @@ from .stepup import (
 from .rainbow import (
     RainbowReport,
     exact_rainbow_exists,
+    max_span,
     search_random_rainbow,
     verify_rainbow,
 )

@@ -17,6 +17,7 @@ output already (``gen-sk`` in text mode).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -268,11 +269,16 @@ def cmd_search_random(args):
     )
     cfg = _config_of(args, ["k", "n", "q", "t", "p", "attempts", "seed"])
     if got is None:
+        if args.p > rainbow.max_span(args.k, args.t, args.q):
+            note = (f"no {args.t}-set can span {args.p} colours, so none exists; "
+                    "nothing was drawn")
+        else:
+            note = "exhausted attempts; this is a report, not a proof"
         return {
             "command": "search-random",
             "config": cfg,
             "found": False,
-            "note": "exhausted attempts; this is a report, not a proof",
+            "note": note,
         }, FAIL
     colouring, rep, attempts = got
     doc = {
@@ -724,11 +730,20 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first ``main`` call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    """Run one command; may be called repeatedly in one process, which
+    builds its parser once."""
+    args = _parser().parse_args(argv)
     try:
-        doc, code = args.func(args)
+        # dispatch by name, so a handler rebound after the parser was built
+        # is the one that runs
+        doc, code = globals()[args.func.__name__](args)
         if doc is not None:
             _emit(args, doc)
         return code

@@ -664,10 +664,9 @@ def _general_danger(colouring, n, k, thr, c1, c2, budget):
         for extra in itertools.combinations(rest, k):
             col = colouring.colour(e + extra)
             (hosts1 if col == c1 else hosts2).append(frozenset(extra))
-        t1, t2 = pierce(hosts1), pierce(hosts2)
-        if t1 < thr:
+        if pierce(hosts1) < thr:
             danger[e] = c1
-        elif t2 < thr:
+        elif pierce(hosts2) < thr:  # searched only when c1 does not win
             danger[e] = c2
     return danger
 

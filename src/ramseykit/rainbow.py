@@ -24,7 +24,14 @@ __all__ = [
     "verify_rainbow",
     "search_random_rainbow",
     "exact_rainbow_exists",
+    "max_span",
 ]
+
+
+def max_span(k: int, t: int, q: int) -> int:
+    """The most colours a t-set can span in a q-colouring of K_n^(k):
+    ``min(q, C(t, k))``.  No colouring is (t, p)-rainbow for p above it."""
+    return min(q, _comb_upto(t, k, q))
 
 
 @dataclass(frozen=True)
@@ -198,19 +205,17 @@ def search_random_rainbow(
     costs C(n, t) * C(t, k) edge evaluations against one ``budget`` for
     the whole search; BudgetExceededError is raised before an attempt
     that would exceed it.  As in :func:`exact_rainbow_exists`, when there
-    are t-sets and p exceeds q or C(t, k), none can span p colours and
+    are t-sets and p exceeds :func:`max_span`, none can span p colours and
     ``None`` is returned without drawing.
     """
     if t < k:
         raise ParameterError(f"t = {t} below the uniformity {k}")
-    if q < 1:
-        raise ParameterError("q must be positive")
-    if max_attempts < 1:
-        raise ParameterError("max_attempts must be positive")
-    if n >= t and p > min(q, _comb_upto(t, k, q)):
-        return None  # no t-set can span p colours
     # refuse what random_colouring refuses before charging any attempt
     _check_palette(q)
+    if max_attempts < 1:
+        raise ParameterError("max_attempts must be positive")
+    if n >= t and p > max_span(k, t, q):
+        return None  # no t-set can span p colours
     _check_built("edges", n, k)
     per_attempt = math.comb(n, t) * math.comb(t, k)
     for attempt in range(max_attempts):
@@ -260,7 +265,7 @@ def exact_rainbow_exists(
         raise ParameterError("p must be positive")
     if n < t:
         return True, None  # no t-sets to violate anything
-    if p > min(q, _comb_upto(t, k, q)):
+    if p > max_span(k, t, q):
         return False, None  # no t-set can span p colours
     _check_built("edges", n, k)
     _check_built("t-sets", n, t)

@@ -131,6 +131,9 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
           "--p", "2"], "q = 1000000000 colours are above the limit"),
         (["search-random", "--k", "2", "--n", "6", "--q", "1000000000", "--t", "4",
           "--p", "3"], "q = 1000000000 colours are above the limit"),
+        # also when p is above what any t-set can span
+        (["search-random", "--k", "2", "--n", "6", "--q", "1000000000", "--t", "4",
+          "--p", "7"], "q = 1000000000 colours are above the limit"),
         (["exact-oracle", "--k", "2", "--n", "5", "--q", "1000000000", "--t", "3",
           "--p", "2"], "q = 1000000000 colours are above the limit"),
         (["burr-erdos", "--n", "2000"], "vertices are above the limit"),
@@ -197,6 +200,66 @@ def test_internal_error_exit_2(monkeypatch, capsys):
     assert err == "internal error: RuntimeError: handler broke\n"
 
 
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    for seq in ("5 9 2", "1 2", "3 1 2"):
+        assert run(capsys, "pattern", "--seq", seq)[0] == 0
+    assert run(capsys, "gen-sk", "--k", "2")[0] == 0
+    assert len(built) == 1
+
+
+def test_handler_patched_after_the_first_call_runs(monkeypatch, capsys):
+    assert run(capsys, "pattern", "--seq", "1 2")[0] == 0
+    monkeypatch.setattr(cli, "cmd_pattern", lambda args: ({"command": "patched"}, 0))
+    code, out, _ = run(capsys, "pattern", "--seq", "1 2")
+    assert code == 0 and "command: patched" in out
+
+
+def test_no_parse_state_carries_over_between_calls(monkeypatch, tmp_path):
+    seen = []
+
+    def recording(args):
+        seen.append({k: v for k, v in vars(args).items() if k != "func"})
+        return None, 0
+
+    monkeypatch.setattr(cli, "cmd_pattern", recording)
+    monkeypatch.setattr(cli, "cmd_verify", recording)
+    pattern = ["pattern", "--seq", "1 2"]
+    verify = ["verify", "--random-base", "2", "6", "2", "1", "--t", "3", "--p", "2"]
+    pairs = [
+        (pattern + ["--format", "json"], pattern),
+        (["--format", "json"] + pattern, pattern),
+        (verify + ["--sample", "5"], verify),
+        (pattern + ["--output", str(tmp_path / "out.txt")], pattern),
+        (verify + ["--workers", "2"], verify),
+        (["--workers", "2"] + verify, verify),
+    ]
+    for first, second in pairs:
+        assert main(first) == 0 and main(second) == 0
+        fresh = vars(cli.build_parser().parse_args(second))
+        del fresh["func"]
+        assert seen[-1] == fresh and seen[-2] != fresh, first
+
+
+def test_argparse_error_leaves_the_parser_usable(capsys):
+    good = ("pattern", "--seq", "5 9 2", "--format", "json")
+    want = run(capsys, *good)
+    assert want[0] == 0 and not want[2]
+    for bad in (["pattern", "--no-such-flag"], ["gen-sk", "--k", "x"], ["gen-sk"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2 and "Traceback" not in capsys.readouterr().err
+        assert run(capsys, *good) == want
+
+
 def test_malformed_file_exit_2(tmp_path, capsys):
     bad = tmp_path / "seq.txt"
     bad.write_text("1 2 x\n")
@@ -234,6 +297,23 @@ def test_malformed_file_exit_2(tmp_path, capsys):
         code, out, err = run(capsys, *argv, str(bad))
         assert code == 2 and not out, text
         assert err.startswith(f"error: {bad}:{line}: ") and err.count("\n") == 1, err
+
+
+def test_search_random_says_whether_none_is_certain(capsys):
+    # a 4-set spans at most C(4, 3) = 4 edges, so none of 6 colours spans 5
+    search = ["search-random", "--format", "json", "--k"]
+    code, out, _ = run(capsys, *search, "3", "--n", "100", "--q", "6", "--t", "4",
+                       "--p", "5")
+    doc = json.loads(out)
+    assert code == 1 and doc["found"] is False
+    assert doc["note"] == ("no 4-set can span 5 colours, so none exists; "
+                           "nothing was drawn")
+    # every 2-colouring of K_6 has a monochromatic triangle, so the attempts run out
+    code, out, _ = run(capsys, *search, "2", "--n", "6", "--q", "2", "--t", "3",
+                       "--p", "2", "--attempts", "3")
+    doc = json.loads(out)
+    assert doc["found"] is False
+    assert doc["note"] == "exhausted attempts; this is a report, not a proof"
 
 
 def test_incomplete_search_exits_2(monkeypatch, capsys):

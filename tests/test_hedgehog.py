@@ -551,7 +551,8 @@ def test_find_mono_guards():
 
 def test_find_mono_piercing_searches_share_one_budget():
     # k = 2: the classification is charged C(10, 3)*C(7, 2) edge evaluations
-    # up front, then every piercing search's nodes against the same budget
+    # up front, then every piercing search's nodes against the same budget;
+    # the second colour is searched only when the first is not below t^3
     c = su.random_colouring(5, 10, 2, seed=0)
     c1, c2 = c.palette()
     need = math.comb(10, 3) * math.comb(7, 2)
@@ -559,9 +560,12 @@ def test_find_mono_piercing_searches_share_one_budget():
         hosts = {c1: [], c2: []}
         for extra in itertools.combinations(sorted(set(range(1, 11)) - set(e)), 2):
             hosts[c.colour(e + extra)].append(extra)
-        need += sum(hh._min_hitting_set(hosts[col], hh.DEFAULT_BUDGET).nodes
-                    for col in (c1, c2))
-    assert need > 3 * math.comb(10, 3) * math.comb(7, 2)
+        for col in (c1, c2):
+            res = hh._min_hitting_set(hosts[col], hh.DEFAULT_BUDGET)
+            need += res.nodes
+            if res.value < 3 ** 3:
+                break
+    assert need > 2 * math.comb(10, 3) * math.comb(7, 2)
     # the whole budget gets past classification, to a body the colouring lacks
     with pytest.raises(IncompleteSearchError) as exc:
         hh.find_mono_hedgehog(c, 3, budget=need)
@@ -617,6 +621,41 @@ def test_pair_danger_matches_general_danger():
             slow = hh._general_danger(c, n, 1, thr, c1, c2, hh.DEFAULT_BUDGET)
             assert list(fast.items()) == list(slow.items())
             assert fast or c.kind == "random-seeded"
+
+
+def eager_general_danger(c, n, k, thr, c1, c2):
+    """Reference for ``_general_danger`` that pierces both colours of
+    every (k+1)-set before reading either."""
+    danger = {}
+    universe = range(1, n + 1)
+    for e in itertools.combinations(universe, k + 1):
+        hosts = {c1: [], c2: []}
+        rest = [v for v in universe if v not in e]
+        for extra in itertools.combinations(rest, k):
+            hosts[c.colour(e + extra)].append(frozenset(extra))
+        t1, t2 = (hh._min_hitting_set(hosts[col], hh.DEFAULT_BUDGET).value
+                  for col in (c1, c2))
+        if t1 < thr:
+            danger[e] = c1
+        elif t2 < thr:
+            danger[e] = c2
+    return danger
+
+
+def test_general_danger_matches_eager_piercing():
+    # k = 2 on random colourings, with thresholds that endanger no set, some
+    # sets of either colour, and every set
+    for n, seed in ((7, 0), (8, 1), (9, 4), (10, 5)):
+        c = su.random_colouring(5, n, 2, seed=seed)
+        c1, c2 = c.palette()
+        maps = []
+        for thr in range(7):
+            lazy = hh._general_danger(c, n, 2, thr, c1, c2, hh.DEFAULT_BUDGET)
+            assert list(lazy.items()) == list(
+                eager_general_danger(c, n, 2, thr, c1, c2).items())
+            maps.append(lazy)
+        assert not maps[0] and len(maps[-1]) == math.comb(n, 3)
+        assert any(c2 in m.values() for m in maps)
 
 
 def test_pair_danger_colours_each_triple_once():
