@@ -2,8 +2,10 @@
 
 Exit codes: 0 on success/pass, 1 on a verified failure (for example a
 rainbow violation found or an exact non-existence result), 2 on parameter,
-file-format, budget or internal errors and on a constructive search that
-ran out of attempts (one line on stderr, never a traceback).  All files
+file-format, budget or internal errors and on a constructive stage of a
+preset or of ``hedgehog find-mono`` that ran out of attempts (one line on
+stderr, never a traceback).  ``search-random`` out of attempts exits 1
+with ``found: false``: its report says it is not a proof.  All files
 are UTF-8 with LF line endings, ``#`` starts a comment and blank lines are
 skipped; sequence files hold whitespace-separated integers; vertex indices
 in reports are 1-based.

@@ -118,29 +118,27 @@ def delta_sequence_of_ints(values, width: int) -> DeltaSeq:
     return delta_sequence(BinVertex(v, width) for v in values)
 
 
-def check_unique_and_max(ds) -> bool:
+def check_unique_and_max(ds: DeltaSeq) -> bool:
     """Self-test oracle for the two structural facts about delta sequences.
 
-    For a :class:`DeltaSeq`, checks that (a) every interval of the delta
-    sequence attains its maximum exactly once and (b) for every pair of
-    host vertices the delta equals the maximum of the consecutive deltas
-    between them.  A plain sequence may be passed instead, in which case
-    only the interval part is checkable.
+    Checks that (a) every interval of the delta sequence attains its
+    maximum exactly once and (b) for every pair of host vertices the delta
+    equals the maximum of the consecutive deltas between them.  For a plain
+    sequence, where only (a) is checkable, use
+    :func:`seqpat.unique_maximum_property`.
     """
-    if isinstance(ds, DeltaSeq):
-        seq = ds.deltas
-        if not seqpat.unique_maximum_property(seq):
-            return False
-        vs = ds.vertices
-        n = len(vs)
-        for i in range(n):
-            running = 0
-            for j in range(i + 1, n):
-                running = max(running, seq[j - 1])
-                if delta(vs[i], vs[j]) != running:
-                    return False
-        return True
-    return seqpat.unique_maximum_property(tuple(ds))
+    seq = ds.deltas
+    if not seqpat.unique_maximum_property(seq):
+        return False
+    vs = ds.vertices
+    n = len(vs)
+    for i in range(n):
+        running = 0
+        for j in range(i + 1, n):
+            running = max(running, seq[j - 1])
+            if delta(vs[i], vs[j]) != running:
+                return False
+    return True
 
 
 def delta_classes(length: int, m: int):

@@ -91,7 +91,7 @@ def colouring_spec(c) -> dict:
     if isinstance(c, hedgehog.BurrErdosHost):
         return {"type": "burr-erdos-host", "n": c.n}
     if isinstance(c, stepup.TabulatedColouring):
-        if c.kind == "random-seeded" and c.seed is not None:
+        if c.seed is not None:
             return {
                 "type": "random",
                 "k": c.uniformity,

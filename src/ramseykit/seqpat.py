@@ -580,16 +580,15 @@ def find_l_r_or_homogeneous(s, left_perm, right_perm) -> Witness:
     ``left_perm`` must be a non-empty permutation with the left property and
     ``right_perm`` one with the right property.  A size-1 ``L`` gives the
     copy at index 1; failing that, so does a size-1 ``R``.  Otherwise the
-    witness is homogeneous: the exact longest one (see
-    :func:`longest_homogeneous_max_induced`) when ``|L| + |R| = 4`` or
-    ``len(s) <= 4``, else the longer fence of the fence chain (see
-    :func:`_fence_chain`).
+    witness is the exact longest homogeneous max-induced subsequence, the
+    lexicographically least one of that length (see
+    :func:`longest_homogeneous_max_induced`), found in O(n).
 
     The lemma asks a homogeneous witness for at least ``n**eps / 2``
     elements, ``eps = 4**-(|L|+|R|)``; that bound is below 1 for every
     ``n < 2**(4**(|L|+|R|))``, at least ``2**256``, so any homogeneous
-    witness meets it at desk scale.  The witness is re-checked before it
-    is returned.
+    witness meets it at desk scale.  The lemma's recursive stage is not
+    implemented.  The witness is re-checked before it is returned.
     """
     s = tuple(s)
     if not s:
@@ -603,15 +602,12 @@ def find_l_r_or_homogeneous(s, left_perm, right_perm) -> Witness:
     if not is_permutation_pattern(R) or not has_right_property(R):
         raise PreconditionError(f"{R} is not a permutation with the right property")
 
-    t = len(L) + len(R)
     if len(L) == 1:
         kind, indices = "L", (1,)
     elif len(R) == 1:
         kind, indices = "R", (1,)
-    elif t == 4 or len(s) <= 4:
-        kind, indices = "homogeneous", longest_homogeneous_max_induced(s)[1]
     else:
-        kind, indices = "homogeneous", _fence_chain(s, len(s) ** (1.0 - 4.0 ** -t))
+        kind, indices = "homogeneous", longest_homogeneous_max_induced(s)[1]
     why = check_sequence_witness(s, kind, indices, L, R)
     if why is not None:
         raise RuntimeError(f"extraction built an invalid {kind} witness: {why}")
@@ -620,32 +616,6 @@ def find_l_r_or_homogeneous(s, left_perm, right_perm) -> Witness:
     return Witness(
         kind=kind, indices=indices, values=values, pattern=pattern_of(values)
     )
-
-
-def _fence_chain(s, thr):
-    """The longer fence of the fence chain of ``s``, as 1-based indices.
-
-    Repeatedly take the first maximum of the window that remains between
-    the fences; it joins the left fence when it lies less than ``thr`` past
-    that fence's last element, else the right fence.  Each element of the
-    left fence is the maximum of everything up to the next one, and each
-    element of the right fence of everything back to the previous one, so
-    either fence, in index order, is a monotone max-induced subsequence.
-    On a tie in length the lexicographically smaller fence is returned.
-    """
-    lo, hi = 0, len(s) - 1
-    left: list[int] = []
-    right: list[int] = []
-    while lo <= hi:
-        j = s.index(max(s[lo : hi + 1]), lo)
-        if j - (left[-1] if left else -1) < thr:
-            left.append(j)
-            lo = j + 1
-        else:
-            right.append(j)
-            hi = j - 1
-    right.reverse()
-    return tuple(i + 1 for i in min(left, right, key=lambda f: (-len(f), f)))
 
 
 def check_sequence_witness(s, kind, indices, left, right) -> str | None:

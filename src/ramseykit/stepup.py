@@ -275,14 +275,14 @@ class TabulatedColouring(Colouring):
     A colouring built from a mapping ``table`` of edges to colours checks
     that it colours every k-subset from the palette, keeps its codes and
     drops the mapping.  :meth:`span` reads edges by rank, remembering only
-    the edges it has read.
+    the edges it has read.  A colouring drawn from a ``seed`` is of kind
+    ``random-seeded``, any other of kind ``tabulated``.
     """
 
-    def __init__(self, uniformity, num_vertices, table, colours, kind="tabulated",
-                 seed=None, codes=None):
+    def __init__(self, uniformity, num_vertices, table, colours, seed=None,
+                 codes=None):
         super().__init__(uniformity, num_vertices)
         self._colours = tuple(colours)
-        self.kind = kind
         self.seed = seed
         if codes is None:
             codes = self._codes_of(table)
@@ -308,6 +308,10 @@ class TabulatedColouring(Colouring):
                 )
             codes.append(i)
         return bytes(codes) if len(index) <= 256 else array("I", codes)
+
+    @property
+    def kind(self):
+        return "tabulated" if self.seed is None else "random-seeded"
 
     @functools.cached_property
     def _ranks(self):
@@ -392,8 +396,7 @@ def random_colouring(k: int, n: int, q: int, seed: int) -> TabulatedColouring:
                 r = getrandbits(bits)
             codes.append(r)
     colours = [("base", i) for i in range(1, q + 1)]
-    return TabulatedColouring(k, n, None, colours, kind="random-seeded", seed=seed,
-                              codes=codes)
+    return TabulatedColouring(k, n, None, colours, seed=seed, codes=codes)
 
 
 def _sample_set(rng, n, t):
@@ -955,7 +958,7 @@ def parse_tabulated(text: str, path=None) -> TabulatedColouring:
         if set(palette) <= set(declared):
             palette = declared
     try:
-        return TabulatedColouring(k, n, table, palette, kind="tabulated")
+        return TabulatedColouring(k, n, table, palette)
     except ParameterError as exc:
         raise FileFormatError(str(exc), path=path, line=headerline) from None
 

@@ -2,6 +2,9 @@
 reports, and witness re-validation through the validate subcommand."""
 
 import json
+import pathlib
+import shlex
+import time
 
 import pytest
 
@@ -348,6 +351,47 @@ def test_extract_witness_validates(tmp_path, capsys):
     assert code == 0
     code, out, _ = run(capsys, "validate", "--witness", str(wit))
     assert code == 0 and "checks out" in out
+
+
+def test_long_extract_is_linear_and_validates(tmp_path, capsys):
+    # |L| + |R| = 5 takes the same linear path as |L| + |R| = 4
+    seq = tmp_path / "down.txt"
+    seq.write_text(" ".join(map(str, range(50_000, 0, -1))) + "\n")
+    wit = tmp_path / "wit.json"
+    start = time.perf_counter()
+    code, _, _ = run(
+        capsys, "extract", "--seq-file", str(seq), "--left", "2 3 1",
+        "--right", "1 2", "--format", "json", "--output", str(wit),
+    )
+    assert code == 0 and time.perf_counter() - start < 5
+    assert json.loads(wit.read_text())["indices"] == [str(i) for i in range(1, 50_001)]
+    code, out, _ = run(capsys, "validate", "--witness", str(wit))
+    assert code == 0 and "checks out" in out
+
+
+def readme_usage_lines():
+    """The logical lines of the README's command-line usage block."""
+    text = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command-line usage", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [line for line in block.splitlines() if line.strip()
+            and not line.lstrip().startswith("#")]
+
+
+def test_readme_usage_block_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    lines = readme_usage_lines()
+    assert sum(line.startswith("ramseykit ") for line in lines) == 14
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        if argv[0] == "printf":
+            fmt, redirect, path = argv[1:]
+            assert redirect == ">", line
+            (tmp_path / path).write_text(fmt.replace("\\n", "\n"))
+            continue
+        assert argv[0] == "ramseykit", line
+        code, _, err = run(capsys, *argv[1:])
+        assert code == (1 if "# exit 1" in line else 0), (line, err)
 
 
 def test_tampered_witness_fails_validation(tmp_path, capsys):

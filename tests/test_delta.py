@@ -89,8 +89,8 @@ def test_delta_sequence_examples():
 
 def test_check_unique_and_max():
     assert dl.check_unique_and_max(dl.delta_sequence_of_ints(range(16), 4))
-    assert dl.check_unique_and_max((1, 2, 1))
-    assert not dl.check_unique_and_max((1, 1))
+    assert sp.unique_maximum_property((1, 2, 1))
+    assert not sp.unique_maximum_property((1, 1))
     rng = random.Random(9)
     for _ in range(2000):
         vals = sorted(rng.sample(range(1 << 10), rng.randint(2, 50)))

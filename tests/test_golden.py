@@ -130,7 +130,8 @@ GOLDEN = [
     ("preset --name lemma-k5-13", 0,
      "7f3a0b4386ce207d2798ec582a15ebc08e4fa9b8233b5223caeb37d5235b9649",
      "0555fc5fc199929f7c7d2db3c9e5b853a08f7ac38080899a09707bbe0404c5a8"),
-    # extraction: homogeneous, tag L, and the fence chain on gen-sk output
+    # extraction: homogeneous, tag L, and the longest homogeneous witness
+    # on gen-sk output
     ("extract --seq-file seq.txt --left 2,1 --right 1,2", 0,
      "1ef7fdb1efd4fb17b1cf79c44b75d13fc79370da3650301e0e1cac91a7eb52b8",
      "d674e4b2d4287e45ff0fc05135c55b589786ae9b92c0cb56e6d647dfea7f98b6"),
@@ -138,8 +139,8 @@ GOLDEN = [
      "2c928df24f0be26af930694335ec8527c735b5a6c8eb520a35284f7c84cd5f83",
      "235ee3c237df90c76025040c4a8df41c6e12cb18c40ff2293821d99d23d3c0e4"),
     ("extract --seq-file sk3.txt --left 2,3,1 --right 1,3,2", 0,
-     "72801ba678c1706b53955a63a27d92f2a4bf0b2ffaf4bca24bd544f77b880e22",
-     "386dd08c910a753b883ccccf18697d2d7633cdf11e06329f302f74a025df6052"),
+     "131ec258364caad47ec78c0694b9669fd1b30b31a0442a5bbfaf340b50c9ee25",
+     "f9385e3f218f48d9ec5c1afd522b29d768dbed5915466a001a8b4b76f117eccc"),
     ("separated --seq-file seq.txt --perm 2,1", 0,
      "2fc32cd384e1e512ef2090fe0257646708fecfb7b6b372e4774361ba239af5bb",
      "9bb6cac2f5342034a41ec6cf1c77f2cf942323b1eff54e7d2c73319741237eed"),

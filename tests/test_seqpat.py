@@ -432,13 +432,11 @@ def test_extraction_trivial_cases():
     assert w.kind == "homogeneous" and len(w.indices) == 10
     w = sp.find_l_r_or_homogeneous(range(1, 25), (2, 1), (1, 2))
     assert w.kind == "homogeneous" and len(w.indices) == 24
-    # |L| + |R| = 5: the fence chain, whose right fence wins on range(1, 251)
-    # and whose left fence wins the tie of single elements on range(1, 61)
+    # the exact longest witness, whatever |L| + |R|
     w = sp.find_l_r_or_homogeneous(range(1, 251), (2, 3, 1), (1, 2))
-    assert (w.kind, w.indices) == ("homogeneous", (249, 250))
+    assert (w.kind, w.indices) == ("homogeneous", tuple(range(1, 251)))
     w = sp.find_l_r_or_homogeneous(range(1, 61), (2, 3, 1), (1, 2))
-    assert (w.kind, w.indices) == ("homogeneous", (59,))
-    # |L| + |R| = 4: the exact longest witness
+    assert (w.kind, w.indices) == ("homogeneous", tuple(range(1, 61)))
     w = sp.find_l_r_or_homogeneous(range(1, 251), (2, 1), (1, 2))
     assert (w.kind, w.indices) == ("homogeneous", tuple(range(1, 251)))
     # a size-1 R when L is larger
@@ -461,10 +459,26 @@ def test_extraction_rejects_bad_properties(monkeypatch):
     for left, right in [((), (1, 2)), ((2, 1), ())]:
         with pytest.raises(ParameterError, match="pattern must be non-empty"):
             sp.find_l_r_or_homogeneous(range(20), left, right)
-    # a chain that failed its re-check is raised, never returned
-    monkeypatch.setattr(sp, "_fence_chain", lambda s, thr: (1, 2, 3))
+    # a witness that failed its re-check is raised, never returned
+    monkeypatch.setattr(sp, "longest_homogeneous_max_induced", lambda s: (3, (1, 2, 3)))
     with pytest.raises(RuntimeError, match="not homogeneous"):
         sp.find_l_r_or_homogeneous((1, 3, 2, 4, 5), (2, 3, 1), (1, 2))
+
+
+LEFTS = [L for n in (2, 3, 4) for L in sp.enumerate_left_property_perms(n)]
+RIGHTS = [R for n in (2, 3, 4) for R in sp.enumerate_right_property_perms(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=40),
+    st.sampled_from(LEFTS),
+    st.sampled_from(RIGHTS),
+)
+def test_extraction_is_the_exact_longest_homogeneous_witness(s, L, R):
+    w = sp.find_l_r_or_homogeneous(s, L, R)
+    assert w.kind == "homogeneous"
+    assert w.indices == sp.longest_homogeneous_max_induced(s)[1]
 
 
 def test_extraction_random_revalidation():
