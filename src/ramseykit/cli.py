@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
 import sys
 
 from .errors import (
@@ -31,11 +30,10 @@ from .errors import (
     IncompleteSearchError,
     ParameterError,
     PreconditionError,
-    charge,
     ints,
     records,
 )
-from . import delta, hedgehog, rainbow, report, seqpat, stepup
+from . import delta, hedgehog, presets, rainbow, report, seqpat, stepup
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -207,7 +205,7 @@ def cmd_delta(args):
         "width": ds.width,
         "vertices": [v.value for v in ds.vertices],
         "deltas": list(ds.deltas),
-        "unique_and_max": delta.check_unique_and_max(ds),
+        "unique_and_max": delta.check_unique_and_max(ds, budget=args.budget),
     }, PASS
 
 
@@ -435,175 +433,13 @@ def cmd_validate(args):
     }, PASS if ok else FAIL
 
 
-# ---------------------------------------------------------------------------
-# Presets: the composition recipes at desk scale
-# ---------------------------------------------------------------------------
-
 def cmd_preset(args):
-    name = args.name
-    handlers = {
-        "cor-five-colours": _preset_five_colours,
-        "cor-three-three": _preset_three_three,
-        "hedgehog-lower": _preset_hedgehog_lower,
-        "lemma-k5-13": _preset_lemma_k5_13,
-    }
-    if name not in handlers:
-        raise ParameterError(
-            f"unknown preset {name!r}; choose from {sorted(handlers)}"
-        )
-    if args.samples < 1:
-        raise ParameterError(f"--samples must be positive, got {args.samples}")
-    doc, code = handlers[name](args)
+    doc, passed = presets.run_preset(args.name, args.seed, args.samples, args.budget)
     return {
-        "command": f"preset {name}",
+        "command": f"preset {args.name}",
         "config": _config_of(args, ["name", "seed", "samples"]),
         **doc,
-    }, code
-
-
-def _random_base(args, k, n, q, t, p):
-    """A (t;q,p)-rainbow random base of K_n^(k) with its exhaustive report
-    and the attempts it took, or IncompleteSearchError."""
-    got = rainbow.search_random_rainbow(k, n, q, t, p, max_attempts=300,
-                                        seed=args.seed, budget=args.budget)
-    if got is None:
-        raise IncompleteSearchError("random base not found", stage="base")
-    return got
-
-
-def _witness_stage(c, sets, sizes, seed, budget):
-    """Sample vertex subsets and hunt forced-colour witnesses in each.
-
-    Before drawing, the budget is charged the edges one witness
-    re-colours, ``c.forced_colours``, per sampled set; more than
-    ``budget`` raises BudgetExceededError."""
-    work = sets * c.forced_colours
-    charge(work, budget, f"{sets} sampled witnesses re-colour up to {work} edges")
-    rng = random.Random(seed)
-    outcomes = {"p-colours": 0, "branch": 0}
-    examples = []
-    for i in range(sets):
-        vs = stepup._sample_set(rng, c.num_vertices, sizes)
-        rep = stepup.witness_p_colours(c, vs)
-        outcomes[rep.outcome] += 1
-        if not rep.revalidate(c, vs):
-            raise IncompleteSearchError(
-                "a sampled witness failed re-validation", stage="witness"
-            )
-        if i == 0 and rep.outcome == "p-colours":
-            examples.append({
-                "vertices": vs,
-                "edges": [
-                    {"edge": list(e), "colour": stepup.colour_str(col)}
-                    for e, col in rep.edges
-                ],
-            })
-    return outcomes, examples
-
-
-def _preset_five_colours(args):
-    """One +1 doubling step over a random 3-uniform base, forcing 5 colours."""
-    q, t, n0 = 5, 6, 8
-    stages = [{
-        "stage": "random base",
-        "description": f"search a ({t};{q},{q})-rainbow colouring of the "
-        f"3-subsets of 1..{n0}",
-    }]
-    base, _, attempts = _random_base(args, 3, n0, q, t, 5)
-    stages[0]["attempts"] = attempts
-    part = stepup.partition_patterns(3, 5)
-    stepped = stepup.step_up_1(base, part)
-    stages.append({
-        "stage": "plus-one step",
-        "description": "pattern classes of length 3 split into 5 classes; "
-        "budget 2q+p-2",
-        "budget": stepped.budget,
-        "universe": stepped.num_vertices,
-        "uniformity": stepped.uniformity,
-    })
-    outcomes, examples = _witness_stage(stepped, args.samples, 40, args.seed,
-                                        args.budget)
-    stages.append({
-        "stage": "sampled witnesses",
-        "outcomes": outcomes,
-        "example": examples,
-    })
-    return {"stages": stages, "colouring": report.colouring_spec(stepped)}, PASS
-
-
-def _preset_three_three(args):
-    """Colour-preserving doubling keeps 3 colours while the uniformity grows."""
-    q, t, n0 = 3, 6, 8
-    base, _, attempts = _random_base(args, 3, n0, q, t, 3)
-    part = stepup.partition_patterns(3, 5)
-    stepped = stepup.step_up_1b(base, part)
-    outcomes, examples = _witness_stage(stepped, args.samples, 40, args.seed,
-                                        args.budget)
-    stages = [
-        {"stage": "random base", "attempts": attempts,
-         "description": f"({t};{q},{q})-rainbow colouring of the 3-subsets of 1..{n0}"},
-        {"stage": "colour-preserving plus-one step", "budget": stepped.budget,
-         "universe": stepped.num_vertices, "uniformity": stepped.uniformity,
-         "description": "class colours aliased onto the first p-2 base colours"},
-        {"stage": "sampled witnesses (forcing p-2 colours)", "outcomes": outcomes,
-         "example": examples},
-    ]
-    return {"stages": stages, "colouring": report.colouring_spec(stepped)}, PASS
-
-
-def _preset_hedgehog_lower(args):
-    """Degenerate doubling schedule: lifting a pair colouring to triples."""
-    q, t, n = 16, 4, 10
-    base, base_report, attempts = _random_base(args, 2, n, q, t, 4)
-    lifted = hedgehog.lift_colouring(base, 3)
-    spread = hedgehog.verify_hedgehog_spread(
-        lifted, t, 1, base_report=base_report, embeddings=args.samples,
-        seed=args.seed, budget=args.budget,
-    )
-    stages = [
-        {"stage": "random base", "attempts": attempts,
-         "description": f"({t};{q},4)-rainbow colouring of the pairs of 1..{n}"},
-        {"stage": "lift to triples (zero doubling steps)",
-         "set_size": lifted.p, "budget": lifted.budget},
-        {"stage": "spread certification",
-         "bodies": spread.bodies_checked,
-         "min_base_span": spread.min_base_span,
-         "embeddings": spread.embeddings_checked,
-         "min_lifted_span": spread.min_lifted_span,
-         "passed": spread.passed},
-    ]
-    return (
-        {"stages": stages, "colouring": report.colouring_spec(lifted)},
-        PASS if spread.passed else FAIL,
-    )
-
-
-def _preset_lemma_k5_13(args):
-    """Zero plus-one steps from uniformity 4, then lifting to uniformity 5."""
-    q, t, n = 14, 6, 8
-    base, base_report, attempts = _random_base(args, 4, n, q, t, 6)
-    lifted = hedgehog.lift_colouring(base, 5)
-    spread = hedgehog.verify_hedgehog_spread(
-        lifted, t, 1, base_report=base_report, embeddings=0, seed=args.seed,
-        budget=args.budget,
-    )
-    stages = [
-        {"stage": "random base", "attempts": attempts,
-         "description": f"({t};{q},6)-rainbow colouring of the 4-subsets of 1..{n}; "
-         "14 colours match the length-4 Catalan bound"},
-        {"stage": "plus-one steps", "count": 0,
-         "budget_rule": "each step would turn budget q into 2q+p-2",
-         "budgets": [q]},
-        {"stage": "lift to uniformity 5", "set_size": lifted.p,
-         "budget": lifted.budget,
-         "budget_rule": "C(q, C(k,s)) sets of base colours"},
-        {"stage": "spread certification", "bodies": spread.bodies_checked,
-         "min_base_span": spread.min_base_span, "passed": spread.passed},
-    ]
-    return (
-        {"stages": stages, "colouring": report.colouring_spec(lifted)},
-        PASS if spread.passed else FAIL,
-    )
+    }, PASS if passed else FAIL
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,19 @@ one decimal vertex value, one per line, none repeated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import total_ordering
 
-from .errors import FileFormatError, ParameterError, PreconditionError, ints, records
+from .errors import (
+    DEFAULT_BUDGET,
+    FileFormatError,
+    ParameterError,
+    PreconditionError,
+    charge,
+    ints,
+    records,
+)
 from . import seqpat
 
 __all__ = [
@@ -118,20 +127,24 @@ def delta_sequence_of_ints(values, width: int) -> DeltaSeq:
     return delta_sequence(BinVertex(v, width) for v in values)
 
 
-def check_unique_and_max(ds: DeltaSeq) -> bool:
+def check_unique_and_max(ds: DeltaSeq, budget: int = DEFAULT_BUDGET) -> bool:
     """Self-test oracle for the two structural facts about delta sequences.
 
     Checks that (a) every interval of the delta sequence attains its
     maximum exactly once and (b) for every pair of host vertices the delta
     equals the maximum of the consecutive deltas between them.  For a plain
     sequence, where only (a) is checkable, use
-    :func:`seqpat.unique_maximum_property`.
+    :func:`seqpat.unique_maximum_property`.  Before checking, the budget
+    is charged the C(n, 2) delta evaluations of (b) for n host vertices;
+    more than ``budget`` raises BudgetExceededError.
     """
+    vs = ds.vertices
+    n = len(vs)
+    work = math.comb(n, 2)
+    charge(work, budget, f"delta self-check needs {work} delta evaluations")
     seq = ds.deltas
     if not seqpat.unique_maximum_property(seq):
         return False
-    vs = ds.vertices
-    n = len(vs)
     for i in range(n):
         running = 0
         for j in range(i + 1, n):

@@ -181,14 +181,18 @@ def _validate_separated(doc):
 
 def _validate_rainbow_violation(doc):
     c = build_colouring(doc["colouring"])
-    ts = sorted(set(_ints(doc["violating_set"])))
+    ts = sorted(_ints(doc["violating_set"]))
     p = int(doc["p"])
     t = int(doc["config"]["t"])
+    if len(set(ts)) != len(ts):
+        return False, "violating set repeats a vertex"
     if len(ts) != t:
         return False, f"violating set has {len(ts)} distinct vertices, not t = {t}"
     seen = {c.colour(e) for e in itertools.combinations(ts, c.uniformity)}
     if len(seen) >= p:
         return False, f"set spans {len(seen)} >= {p} colours"
+    if list(doc["violating_colours"]) != [stepup.colour_str(x) for x in sorted(seen)]:
+        return False, "stored colours do not match the re-coloured set"
     return True, f"violating set spans {len(seen)} < {p} colours"
 
 

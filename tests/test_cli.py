@@ -487,6 +487,26 @@ def test_verify_failure_witness_validates(tmp_path, capsys):
     assert code == 1 and "2 distinct vertices, not t = 3" in out and not err
 
 
+
+@pytest.mark.parametrize("forge", [
+    # a seventh entry repeating a vertex of the 6-set
+    lambda doc: {**doc, "violating_set": doc["violating_set"] + doc["violating_set"][:1]},
+    # colours that the set does not re-colour to
+    lambda doc: {**doc, "violating_colours": ["b9"]},
+], ids=["repeated-vertex", "stored-colours"])
+def test_forged_rainbow_violation_fails_validation(forge, tmp_path, capsys):
+    rep = tmp_path / "rep.json"
+    code, _, _ = run(
+        capsys, "verify", "--random-base", "3", "10", "2", "5", "--t", "6",
+        "--p", "3", "--format", "json", "--output", str(rep),
+    )
+    assert code == 1
+    code, out, _ = run(capsys, "validate", "--witness", str(rep))
+    assert code == 0 and "valid: True" in out
+    rep.write_text(json.dumps(forge(json.loads(rep.read_text()))))
+    code, out, err = run(capsys, "validate", "--witness", str(rep))
+    assert code == 1 and "valid: False" in out and not err
+
 def test_reports_replay_bit_identically(tmp_path, capsys):
     args = [
         "search-random", "--k", "2", "--n", "6", "--q", "3", "--t", "4",
@@ -537,6 +557,18 @@ def test_delta_subcommand(tmp_path, capsys):
         assert (code, out) == (2, "") and needle in err
         assert len(err.strip().splitlines()) == 1
 
+
+
+def test_delta_self_check_charges_budget(tmp_path, capsys):
+    # the self-check compares C(3, 2) = 3 pairs of vertices
+    vf = tmp_path / "verts.txt"
+    vf.write_text("m=3\n0\n1\n2\n")
+    code, out, err = run(capsys, "delta", "--vertex-file", str(vf), "--budget", "1")
+    assert (code, out) == (2, "")
+    assert err == ("budget exceeded: delta self-check needs 3 delta evaluations, "
+                   "budget is 1\n")
+    code, out, _ = run(capsys, "delta", "--vertex-file", str(vf), "--budget", "3")
+    assert code == 0 and "unique_and_max: True" in out
 
 def test_hedgehog_build_and_degeneracy(tmp_path, capsys):
     hfile = tmp_path / "h.txt"

@@ -95,6 +95,23 @@ def test_cli_has_one_way_out_and_one_base_loader():
     assert loaders == ["_load_base"]
 
 
+
+def test_cli_holds_no_preset_logic():
+    """The preset recipes live in ``presets``: no function of ``cli.py``
+    steps up, hunts witnesses, samples sets or certifies a spread, and only
+    ``search-random`` searches for a random base."""
+    calls = calls_by_function(PACKAGE / "cli.py")
+    recipe = {
+        "stepup.witness_p_colours", "hedgehog.verify_hedgehog_spread",
+        "stepup.step_up_1", "stepup.step_up_1b", "stepup._sample_set",
+    }
+    assert sorted(name for name, callees in calls.items() if recipe & set(callees)) == []
+    searchers = sorted(
+        name for name, callees in calls.items()
+        if "rainbow.search_random_rainbow" in callees
+    )
+    assert searchers == ["cmd_search_random"]
+
 def public_defs(path):
     """``(name, node)`` of each public top-level function or class of
     ``path`` and of each public method of a public class."""
