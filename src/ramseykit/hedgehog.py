@@ -232,11 +232,9 @@ def piercing_number(
     return _min_hitting_set(rests, budget)
 
 
-def _min_hitting_set(sets, budget: int) -> PiercingResult:
-    sets = [frozenset(s) for s in sets]
-    if not sets:
-        return PiercingResult(0, 0, (), True)
-    # greedy upper bound: repeatedly hit the most common vertex
+def _greedy_hitting_set(sets) -> list[int]:
+    """A hitting set of the frozensets ``sets``, an upper bound on their
+    piercing number: repeatedly hit the most common vertex."""
     remaining = list(sets)
     greedy: list[int] = []
     while remaining:
@@ -247,7 +245,14 @@ def _min_hitting_set(sets, budget: int) -> PiercingResult:
         v = min(counts, key=lambda u: (-counts[u], u))
         greedy.append(v)
         remaining = [s for s in remaining if v not in s]
-    best = sorted(greedy)
+    return greedy
+
+
+def _min_hitting_set(sets, budget: int) -> PiercingResult:
+    sets = [frozenset(s) for s in sets]
+    if not sets:
+        return PiercingResult(0, 0, (), True)
+    best = sorted(_greedy_hitting_set(sets))
     best_size = len(best)
     nodes = 0
     exhausted = False
@@ -642,21 +647,28 @@ def _co_degrees(flags, n):
 def _general_danger(colouring, n, k, thr, c1, c2, budget):
     """Endangered (k+1)-sets by brute force: the up-front edge estimate is
     charged first, and each piercing search draws its nodes from what is
-    left of ``budget``."""
+    left of ``budget``.  A set is endangered in a colour when its piercing
+    number there is below ``thr``, so no search runs when an upper bound
+    already is: the n - k - 1 other vertices, which hit every host edge
+    through the set, or the greedy hitting set."""
     work = math.comb(n, k + 1) * math.comb(n - k - 1, k)
     charge(work, budget, f"classifying endangered sets needs about {work} edge "
            "evaluations")
+    universe = range(1, n + 1)
+    if n - k - 1 < thr:
+        return dict.fromkeys(itertools.combinations(universe, k + 1), c1)
 
-    def pierce(hosts):
+    def endangered(hosts):
         nonlocal work
+        if len(_greedy_hitting_set(hosts)) < thr:
+            return True
         res = _min_hitting_set(hosts, budget - work)
         work += res.nodes
         charge(work, budget, f"classifying endangered sets needs at least {work} "
                "edge evaluations and piercing nodes")
-        return res.value
+        return res.value < thr
 
     danger = {}
-    universe = range(1, n + 1)
     for e in itertools.combinations(universe, k + 1):
         rest = [v for v in universe if v not in e]
         hosts1 = []
@@ -664,9 +676,9 @@ def _general_danger(colouring, n, k, thr, c1, c2, budget):
         for extra in itertools.combinations(rest, k):
             col = colouring.colour(e + extra)
             (hosts1 if col == c1 else hosts2).append(frozenset(extra))
-        if pierce(hosts1) < thr:
+        if endangered(hosts1):
             danger[e] = c1
-        elif pierce(hosts2) < thr:  # searched only when c1 does not win
+        elif endangered(hosts2):  # searched only when c1 does not win
             danger[e] = c2
     return danger
 

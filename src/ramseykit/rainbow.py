@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 from .errors import DEFAULT_BUDGET, ParameterError, charge
 from .stepup import Colouring, TabulatedColouring, random_colouring
-from .stepup import _check_built, _check_palette, _comb_upto, _sample_set
+from .stepup import _check_built, _check_palette, _comb_upto, _rank_tables
+from .stepup import _sample_set
 
 __all__ = [
     "RainbowReport",
@@ -69,14 +70,19 @@ def verify_rainbow(
 ) -> RainbowReport:
     """Check that every (or each sampled) t-set spans at least p colours.
 
-    Each set's colours come from ``colouring.span``.  A stepped colouring
-    colours an edge by its delta sequence alone, and the deltas inside a
-    set are range maxima of the set's own deltas, so it computes a set's
-    span once per distinct delta sequence, and any other colouring
-    remembers each edge colour it has read.  Sets are visited in the same
-    order either way, and the report does not depend on how spans are
-    computed.  Sampling needs t <= n; exhaustively, t > n passes
-    with no set checked.  Before any set is read, the budget is charged
+    Sets are visited in lexicographic order (sampled ones in draw order),
+    and the report does not depend on how their colours are found.  When
+    ``colouring.palette_codes()`` gives codes (a tabulated colouring, or
+    any other with at most MAX_BUILT edges), an exhaustive check is a
+    depth-first scan over vertex prefixes that ORs each new vertex's edge
+    bits into its prefix's palette bitmask; a prefix that already spans
+    every colour in use, when those are at least p, counts all its
+    extensions at once.  A stepped colouring, one above MAX_BUILT edges,
+    and every sampled check read each set's colours from
+    ``colouring.span``: a stepped colouring computes a span once per
+    distinct delta sequence, and any other remembers each edge colour it
+    has read.  Sampling needs t <= n; exhaustively, t > n passes with no
+    set checked.  Before any set is read, the budget is charged
     ``colouring.span_cost`` per set, C(t, k) edge evaluations or one lookup
     for a stepped colouring, for every t-set or every trial.
 
@@ -159,17 +165,99 @@ def _scan(colouring, sets, p):
 
 def _scan_firsts(args):
     """Scan the t-sets by least vertex, one ``(first, _scan result)`` part
-    per least vertex in ``firsts``, up to the first violating part."""
+    per least vertex in ``firsts``, up to the first violating part.  A
+    colouring with palette codes is scanned by :func:`_prefix_scanner`,
+    any other set by set through ``span``."""
     colouring, t, p, firsts = args
+    if not firsts:  # no t-set here: colour no edge for the palette codes
+        return []
     n = colouring.num_vertices
+    coded = colouring.palette_codes()
+    if coded is not None:
+        scan = _prefix_scanner(coded, colouring.uniformity, n, t, p)
+    else:
+        def scan(first):
+            rests = itertools.combinations(range(first + 1, n + 1), t - 1)
+            return _scan(colouring, map((first,).__add__, rests), p)
     parts = []
     for first in firsts:
-        rests = itertools.combinations(range(first + 1, n + 1), t - 1)
-        part = _scan(colouring, map((first,).__add__, rests), p)
+        part = scan(first)
         parts.append((first, part))
         if part[0] is not None:
             break
     return parts
+
+
+def _prefix_scanner(coded, k, n, t, p):
+    """The :func:`_scan` result over the t-sets with a given least vertex,
+    from a depth-first search over vertex prefixes in lexicographic order.
+
+    ``coded`` is ``(colours, codes)`` from :meth:`Colouring.palette_codes`.
+    A prefix carries the bitmask of the palette codes of its edges: its
+    parent's mask OR the bits of the edges that end at its last vertex v.
+    Those edges' lexicographic ranks are the partial ranks of the prefix's
+    (k-1)-subsets plus v's last-position term of ``_rank_tables``, and
+    the partial ranks of its j-subsets, j < k, are kept per prefix.  A
+    prefix of d vertices, the last v, that already spans every colour used,
+    when those are at least p, adds all C(n - v, t - d) of its extensions
+    to the histogram at once: each spans exactly that many colours.
+    """
+    colours, codes = coded
+    bits = [1 << c for c in codes]
+    used = set(codes)
+    count = len(used)
+    # with fewer than p colours in use every set violates: never saturate
+    full = sum(1 << c for c in used) if count >= p else -1
+    tables = _rank_tables(k, n)
+    last = tables[k - 1]
+    prefix = [0] * t
+    violation = []  # the violating set's mask, once found
+
+    def extend(depth, vs, mask, partials, hist):
+        # the sets through prefix[:depth], whose j-subsets have partial
+        # ranks partials[j], extended by each vertex of vs in turn; returns
+        # the number of sets checked, up to a violation
+        checked = 0
+        leaf = depth + 1 == t
+        edges = partials[k - 1]
+        for v in vs:
+            off = last[v]
+            m = mask
+            for r in edges:
+                m |= bits[r + off]
+            prefix[depth] = v
+            if leaf:
+                span = m.bit_count()
+                hist[span] = hist.get(span, 0) + 1
+                checked += 1
+                if span < p:
+                    violation.append(m)
+                    return checked
+            elif m == full:
+                batch = math.comb(n - v, t - depth - 1)
+                hist[count] = hist.get(count, 0) + batch
+                checked += batch
+            else:
+                grown = [partials[0]]
+                for j in range(1, k):
+                    term = tables[j - 1][v]
+                    grown.append(partials[j] + [r + term for r in partials[j - 1]])
+                checked += extend(depth + 1, range(v + 1, n - t + depth + 3), m,
+                                  grown, hist)
+                if violation:
+                    return checked
+        return checked
+
+    def scan(first):
+        hist: dict[int, int] = {}
+        violation.clear()
+        checked = extend(0, (first,), 0, [[0]] + [[]] * (k - 1), hist)
+        if not violation:
+            return None, hist, checked
+        seen = (colours[c] for c in range(len(colours)) if violation[0] >> c & 1)
+        return (tuple(prefix), tuple(sorted(seen))), hist, checked
+
+    return scan
 
 
 def _replay(parts):

@@ -227,6 +227,21 @@ class Colouring:
         """Work that :meth:`span` does for one t-set, and its unit."""
         return math.comb(t, self.uniformity), "edge evaluations"
 
+    def palette_codes(self):
+        """``(colours, codes)``: the edge of lexicographic rank r has colour
+        ``colours[codes[r]]``; ``None`` above MAX_BUILT edges.  The codes
+        come from one :meth:`edge_colours` pass, kept on the instance, and
+        ``colours`` lists the colours used in order of first use."""
+        if _comb_upto(self.num_vertices, self.uniformity, MAX_BUILT) > MAX_BUILT:
+            return None
+        return self._palette_codes
+
+    @functools.cached_property
+    def _palette_codes(self):
+        index = {}
+        codes = [index.setdefault(c, len(index)) for c in self.edge_colours()]
+        return tuple(index), _pack(codes, len(index))
+
     def palette(self) -> tuple:
         """Declared colour space, canonically ordered; reachable colours
         are always a subset."""
@@ -259,6 +274,12 @@ def _comb_upto(n: int, k: int, cap: int) -> int:
         if c > cap:
             return cap + 1
     return c
+
+
+def _pack(codes, size: int):
+    """Palette indices below ``size`` as ``bytes`` up to 256 colours, else
+    an ``array('I')``."""
+    return bytes(codes) if size <= 256 else array("I", codes)
 
 
 def _check_built(what: str, n: int, k: int) -> None:
@@ -307,7 +328,7 @@ class TabulatedColouring(Colouring):
                     f"edge {e} has colour {table[e]!r}, which is not in the palette"
                 )
             codes.append(i)
-        return bytes(codes) if len(index) <= 256 else array("I", codes)
+        return _pack(codes, len(index))
 
     @property
     def kind(self):
@@ -322,6 +343,9 @@ class TabulatedColouring(Colouring):
 
     def edge_colours(self):
         return map(self._colours.__getitem__, self.codes)
+
+    def palette_codes(self):
+        return self._colours, self.codes
 
     def _palette(self):
         return self._colours
@@ -569,6 +593,10 @@ class _Stepped(Colouring):
 
     def span_cost(self, t: int) -> tuple[int, str]:
         return 1, "set lookups"
+
+    def palette_codes(self):
+        # a span is one lookup per delta sequence: the per-set scan is cheaper
+        return None
 
 
 class SteppedPlusOne(_Stepped):

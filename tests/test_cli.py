@@ -167,7 +167,8 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
           "--sample", "1000000000000", "--budget", "10"],
          "budget exceeded: sampled verification needs about 3000000000000 edge"),
         # exhaustive verify, the exact oracle's nodes, and the k = 2 find-mono
-        # piercing searches after their up-front estimate of 85680
+        # up-front estimate of 85680 (its threshold 27 exceeds the 15 other
+        # vertices, so it runs no piercing search)
         (["verify", "--random-base", "3", "20", "2", "1", "--t", "8", "--p", "2",
           "--budget", "1000"],
          "budget exceeded: exhaustive verification needs about 7054320 edge "
@@ -177,9 +178,9 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
          "budget exceeded: exact oracle needs at least 1001 search nodes, "
          "budget is 1000"),
         (["hedgehog", "find-mono", "--random-base", "5", "18", "2", "1", "--t",
-          "3", "--budget", "100000"],
-         "budget exceeded: classifying endangered sets needs at least 100001 "
-         "edge evaluations and piercing nodes, budget is 100000"),
+          "3", "--budget", "85679"],
+         "budget exceeded: classifying endangered sets needs about 85680 "
+         "edge evaluations, budget is 85679"),
     ]
     for argv, needle in cases:
         code, _, err = run(capsys, *argv)

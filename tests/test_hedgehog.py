@@ -551,29 +551,66 @@ def test_find_mono_guards():
 
 def test_find_mono_piercing_searches_share_one_budget():
     # k = 2: the classification is charged C(10, 3)*C(7, 2) edge evaluations
-    # up front, then every piercing search's nodes against the same budget;
-    # the second colour is searched only when the first is not below t^3
+    # up front, then the nodes of every piercing search it runs against the
+    # same budget.  A search runs only when the greedy hitting set is not
+    # below the threshold, and the second colour's only when the first does
+    # not endanger the set.  find-mono's own threshold t^3 = 27 exceeds the
+    # 7 other vertices, so it searches nothing; at threshold 4 searches run
     c = su.random_colouring(5, 10, 2, seed=0)
     c1, c2 = c.palette()
-    need = math.comb(10, 3) * math.comb(7, 2)
+    up_front = math.comb(10, 3) * math.comb(7, 2)
+    need = up_front
     for e in itertools.combinations(range(1, 11), 3):
         hosts = {c1: [], c2: []}
         for extra in itertools.combinations(sorted(set(range(1, 11)) - set(e)), 2):
-            hosts[c.colour(e + extra)].append(extra)
+            hosts[c.colour(e + extra)].append(frozenset(extra))
         for col in (c1, c2):
+            if len(hh._greedy_hitting_set(hosts[col])) < 4:
+                break
             res = hh._min_hitting_set(hosts[col], hh.DEFAULT_BUDGET)
             need += res.nodes
-            if res.value < 3 ** 3:
+            if res.value < 4:
                 break
-    assert need > 2 * math.comb(10, 3) * math.comb(7, 2)
-    # the whole budget gets past classification, to a body the colouring lacks
-    with pytest.raises(IncompleteSearchError) as exc:
-        hh.find_mono_hedgehog(c, 3, budget=need)
-    assert exc.value.stage == "body"
+    assert need > up_front + 5000
+    danger = hh._general_danger(c, 10, 2, 4, c1, c2, need)
+    assert danger == eager_general_danger(c, 10, 2, 4, c1, c2)
     with pytest.raises(BudgetExceededError, match=(
             f"^classifying endangered sets needs at least {need} edge "
             f"evaluations and piercing nodes, budget is {need - 1}$")):
-        hh.find_mono_hedgehog(c, 3, budget=need - 1)
+        hh._general_danger(c, 10, 2, 4, c1, c2, need - 1)
+    # the up-front charge alone gets find-mono past classification, to a
+    # body the colouring lacks
+    with pytest.raises(IncompleteSearchError) as exc:
+        hh.find_mono_hedgehog(c, 3, budget=up_front)
+    assert exc.value.stage == "body"
+    with pytest.raises(BudgetExceededError, match=(
+            f"^classifying endangered sets needs about {up_front} edge "
+            f"evaluations, budget is {up_front - 1}$")):
+        hh.find_mono_hedgehog(c, 3, budget=up_front - 1)
+
+
+def test_find_mono_decides_danger_without_piercing_searches(monkeypatch):
+    # k = 2 on 18 vertices: the threshold t^3 = 27 exceeds the 15 other
+    # vertices, which hit every host edge through a 3-set, so every 3-set is
+    # endangered in the first colour without a search or even a greedy
+    # bound, and the up-front charge is the whole budget the classification
+    # needs
+    c = su.random_colouring(5, 18, 2, seed=1)
+    searches, greedy = [], []
+    real = hh._min_hitting_set
+
+    def counting(sets, budget):
+        res = real(sets, budget)
+        searches.append(res.nodes)
+        return res
+
+    monkeypatch.setattr(hh, "_min_hitting_set", counting)
+    monkeypatch.setattr(hh, "_greedy_hitting_set", greedy.append)
+    emb = hh.find_mono_hedgehog(c, 3, budget=math.comb(18, 3) * math.comb(15, 2))
+    assert searches == [] and greedy == []
+    assert emb.body == (1, 2, 3) and emb.colour == ("base", 2)
+    assert emb.edges == (((1, 2, 3), (4, 7)),)
+    assert hh.validate_embedding(emb, c, 3)
 
 
 def test_find_mono_vertex_endangered_on_both_sides(monkeypatch):

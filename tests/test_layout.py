@@ -277,3 +277,30 @@ def test_work_is_refused_only_through_charge(tmp_path):
     ]
     assert [s.split(": ", 1)[1] for s in sites] == ["PiercingResult.value"], sites
     assert sites[0].startswith("hedgehog.py:")
+
+
+def colouring_classes():
+    """Names of the package's classes that derive from ``Colouring``."""
+    bases = {}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {getattr(b, "id", getattr(b, "attr", None))
+                                    for b in node.bases}
+    found = {"Colouring"}
+    while True:
+        more = {name for name, parents in bases.items() if parents & found}
+        if more <= found:
+            return found
+        found |= more
+
+
+def test_rainbow_picks_no_kernel_by_colouring_class():
+    """``verify_rainbow`` chooses between the prefix scan and the per-set
+    scan through ``Colouring.palette_codes`` alone: no ``isinstance`` in
+    ``rainbow.py`` tests a colouring class."""
+    kinds = colouring_classes()
+    assert {"TabulatedColouring", "_Stepped", "LiftedColouring",
+            "BurrErdosHost"} <= kinds
+    named = isinstance_names(PACKAGE / "rainbow.py")
+    assert [(line, n) for line, n in named if n in kinds] == []

@@ -8,6 +8,7 @@ import random
 import weakref
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ramseykit import rainbow as rb
 from ramseykit import stepup as su
@@ -173,10 +174,12 @@ def test_stepped_parallel_verify_matches_serial():
     (lambda: LiftedColouring(stepped(2, 4, 6, 1, [("up2", 2, 2)]), 5), 7, 4),
 ], ids=["tabulated", "tabulated-fails", "up1", "up1-fails", "lifted", "lifted-fails"])
 def test_parallel_verify_after_a_serial_run_matches_serial(make, t, p):
-    # the workers receive the colouring pickled with the memos the serial
-    # run filled, whose fills must come back bound to the copy
+    # the workers receive the colouring pickled with its warm memos, whose
+    # fills must come back bound to the copy; exhaustive verify reads the
+    # palette codes of a non-stepped colouring, so span warms the memo
     c = make()
     serial = rb.verify_rainbow(c, t, p)
+    c.span(tuple(range(1, t + 1)))
     assert c._colour_memo
     copy = pickle.loads(pickle.dumps(c))
     assert dict(copy._colour_memo) == dict(c._colour_memo)
@@ -250,6 +253,87 @@ def test_lifted_verify_colours_each_edge_once():
         for e in itertools.combinations(rb._sample_set(rng, 16, 7), 5)
     }
     assert rep.passed and c.calls == len(edges)
+
+
+def per_set_report(c, t, p):
+    """The report of a literal ``_scan`` over every t-set of ``c`` through
+    ``span``, in lexicographic order."""
+    sets = itertools.combinations(range(1, c.num_vertices + 1), t)
+    violation, hist, checked = rb._scan(c, sets, p)
+    violating_set, violating_colours = violation or (None, ())
+    return rb.RainbowReport(
+        passed=violation is None, t=t, p=p, coverage="exhaustive",
+        violating_set=violating_set, violating_colours=violating_colours,
+        histogram=hist, sets_checked=checked,
+    )
+
+
+def coded_table(k, n, q, unused, seed):
+    """A tabulated colouring that uses at most q colours of a palette of
+    q + unused, listed in a shuffled order."""
+    rng = random.Random(seed)
+    colours = [("base", i) for i in range(1, q + unused + 1)]
+    rng.shuffle(colours)
+    codes = bytes(rng.randrange(q) for _ in range(math.comb(n, k)))
+    return su.TabulatedColouring(k, n, None, colours, codes=codes)
+
+
+def assert_prefix_scan_matches_per_set_scan(c, t, p, workers=1):
+    rep = rb.verify_rainbow(c, t, p, workers=workers)
+    ref = per_set_report(c, t, p)
+    assert rep == ref
+    assert list(rep.histogram.items()) == list(ref.histogram.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    size=st.integers(0, 8),
+    q=st.integers(1, 5),
+    unused=st.integers(0, 3),
+    depth=st.integers(0, 9),
+    p=st.integers(1, 7),
+    seed=st.integers(0, 10**6),
+)
+@example(k=1, size=0, q=1, unused=0, depth=0, p=1, seed=0)   # t = k = n
+@example(k=4, size=7, q=3, unused=0, depth=0, p=1, seed=1)   # t = k
+@example(k=3, size=6, q=4, unused=0, depth=6, p=4, seed=2)   # t = n
+@example(k=2, size=5, q=3, unused=0, depth=6, p=2, seed=3)   # t > n
+@example(k=2, size=8, q=2, unused=0, depth=3, p=3, seed=4)   # p > q
+@example(k=2, size=8, q=2, unused=3, depth=3, p=2, seed=5)   # unused colours
+def test_prefix_scan_matches_per_set_scan(k, size, q, unused, depth, p, seed):
+    # every report field of the exhaustive prefix scan against a literal
+    # per-set scan, on tabulated colourings passing and failing, including
+    # palettes that declare colours no edge uses, so that saturation is at
+    # the colours in use, not at the palette size
+    n = k + size
+    t = min(k + depth, n + 1)
+    assert_prefix_scan_matches_per_set_scan(coded_table(k, n, q, unused, seed), t, p)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    s=st.integers(1, 2),
+    n=st.integers(5, 9),
+    q=st.integers(3, 5),
+    depth=st.integers(0, 4),
+    p=st.integers(1, 6),
+    seed=st.integers(0, 10**6),
+    workers=st.sampled_from([1, 2]),
+)
+def test_prefix_scan_matches_per_set_scan_on_lifted_colourings(s, n, q, depth, p,
+                                                               seed, workers):
+    # set colours listed by one edge_colours() pass, serial and parallel
+    c = LiftedColouring(su.random_colouring(s, n, q, seed), s + 1)
+    t = min(s + 1 + depth, n + 1)
+    assert_prefix_scan_matches_per_set_scan(c, t, p, workers=workers)
+
+
+def test_prefix_scan_matches_per_set_scan_in_parallel():
+    for c, t, p in ((coded_table(3, 10, 3, 2, 7), 6, 3),
+                    (coded_table(2, 9, 2, 0, 3), 4, 2),
+                    (coded_table(2, 12, 4, 1, 5), 5, 2)):
+        assert_prefix_scan_matches_per_set_scan(c, t, p, workers=2)
 
 
 def test_t_beyond_n():
