@@ -174,6 +174,8 @@ def delta_classes(length: int, m: int):
 
 
 def _delta_classes(length, m):
+    if length.bit_length() > m:  # more than 2^m vertices: no subset
+        return
     if length == 0:
         yield (), 1 << m
         return

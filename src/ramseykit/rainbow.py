@@ -71,26 +71,34 @@ def verify_rainbow(
     """Check that every (or each sampled) t-set spans at least p colours.
 
     Sets are visited in lexicographic order (sampled ones in draw order),
-    and the report does not depend on how their colours are found.  When
-    ``colouring.palette_codes()`` gives codes (a tabulated colouring, or
-    any other with at most MAX_BUILT edges), an exhaustive check is a
-    depth-first scan over vertex prefixes that ORs each new vertex's edge
-    bits into its prefix's palette bitmask; a prefix that already spans
-    every colour in use, when those are at least p, counts all its
-    extensions at once.  A stepped colouring, one above MAX_BUILT edges,
-    and every sampled check read each set's colours from
-    ``colouring.span``: a stepped colouring computes a span once per
-    distinct delta sequence, and any other remembers each edge colour it
-    has read.  Sampling needs t <= n; exhaustively, t > n passes with no
-    set checked.  Before any set is read, the budget is charged
-    ``colouring.span_cost`` per set, C(t, k) edge evaluations or one lookup
-    for a stepped colouring, for every t-set or every trial.
+    and the report does not depend on how their colours are found.  An
+    exhaustive check first reads ``colouring.classes(t)``, the classes of
+    t-sets that span the same colours by construction (the delta classes
+    of a stepped colouring, the part profiles of a Burr-Erdos host): when
+    every class's least member spans at least p colours, the histogram is
+    the sum of the class counts by span, and all C(n, t) sets count as
+    checked.  At the first class that spans fewer, or with no classes, it
+    scans the t-sets in lexicographic order up to the least violating set.
+    When ``colouring.palette_codes()`` gives codes (a tabulated colouring,
+    or any other with at most MAX_BUILT edges) that scan is a depth-first
+    scan over vertex prefixes that ORs each new vertex's edge bits into
+    its prefix's palette bitmask; a prefix that already spans every colour
+    in use, when those are at least p, counts all its extensions at once.
+    A stepped colouring, one above MAX_BUILT edges, and every sampled
+    check read each set's colours from ``colouring.span``: a stepped
+    colouring computes a span once per distinct delta sequence, and any
+    other remembers each edge colour it has read.  Sampling needs t <= n;
+    exhaustively, t > n passes with no set checked.  Before any set is
+    read, the budget is charged ``colouring.span_cost`` per set, C(t, k)
+    edge evaluations or one lookup for a stepped colouring, for every
+    t-set or every trial, whether or not classes decide the check.
 
     ``workers`` must be at least 1 and is capped at the CPU count.
-    ``workers > 1`` splits an exhaustive enumeration across processes by
+    ``workers > 1`` splits the lexicographic scan across processes by
     least vertex and replays the parts in order up to the first violation,
     so the report (verdict, witness, histogram and ``sets_checked``)
-    equals the serial run's.
+    equals the serial run's; a check that its classes decide starts no
+    process.
     """
     k = colouring.uniformity
     n = colouring.num_vertices
@@ -111,7 +119,11 @@ def verify_rainbow(
     work = (trials if sampled else math.comb(n, t)) * per_set
     charge(work, budget, f"{mode} verification needs about {work} {unit}",
            "use fewer trials" if sampled else "use sampled mode")
-    if not sampled:
+    classes = None if sampled else colouring.classes(t)
+    hist = None if classes is None else _class_histogram(classes, colouring.span, p)
+    if hist is not None:
+        violation, checked = None, math.comb(n, t)
+    elif not sampled:
         firsts = range(1, n - t + 2)
         workers = min(workers, os.cpu_count() or 1)
         if workers > 1:
@@ -143,6 +155,19 @@ def verify_rainbow(
     )
 
 
+def _class_histogram(classes, span_of, p):
+    """The span histogram of every t-set, summed over ``classes`` of
+    ``(least member, count)`` by the span of each least member; ``None``
+    at the first class that spans fewer than p colours."""
+    hist: dict[int, int] = {}
+    for least, count in classes:
+        span = len(span_of(least))
+        if span < p:
+            return None
+        hist[span] = hist.get(span, 0) + count
+    return hist
+
+
 def _scan(colouring, sets, p):
     """Span histogram of ``sets`` in order, stopping at the first set that
     spans fewer than p colours.
@@ -167,7 +192,10 @@ def _scan_firsts(args):
     """Scan the t-sets by least vertex, one ``(first, _scan result)`` part
     per least vertex in ``firsts``, up to the first violating part.  A
     colouring with palette codes is scanned by :func:`_prefix_scanner`,
-    any other set by set through ``span``."""
+    any other set by set through ``span``.  An exhaustive check runs it
+    only when :func:`_class_histogram` does not decide a pass, so the
+    spans of a stepped colouring's passing classes are already in its
+    memo."""
     colouring, t, p, firsts = args
     if not firsts:  # no t-set here: colour no edge for the palette codes
         return []

@@ -227,6 +227,12 @@ class Colouring:
         """Work that :meth:`span` does for one t-set, and its unit."""
         return math.comb(t, self.uniformity), "edge evaluations"
 
+    def classes(self, t: int):
+        """``(least member, count)`` per class of t-sets that span the same
+        colours by construction, the counts summing to C(n, t); ``None``
+        when the colouring has no such classes."""
+        return None
+
     def palette_codes(self):
         """``(colours, codes)``: the edge of lexicographic rank r has colour
         ``colours[codes[r]]``; ``None`` above MAX_BUILT edges.  The codes
@@ -540,6 +546,22 @@ def _edge_deltas(vertices) -> tuple[int, ...]:
     return tuple([(a ^ b).bit_length() for a, b in zip(values, values[1:])])
 
 
+def _least_with_deltas(ds) -> tuple[int, ...]:
+    """The lexicographically least sorted vertices whose consecutive deltas
+    are ``ds``, a sequence with a unique maximum on every interval (the
+    inverse of :func:`_edge_deltas` on least members).  The first vertex
+    is the bit vector 0, and each next one is its predecessor with
+    coordinate d set and every coordinate below d cleared.  Coordinate d
+    of the predecessor is 0: only a step of delta d sets it, and the unique
+    maximum forbids a second one before a larger delta clears it."""
+    x = 0
+    out = [1]
+    for d in ds:
+        x = x >> d << d | 1 << (d - 1)
+        out.append(x + 1)
+    return tuple(out)
+
+
 @functools.lru_cache(maxsize=None)
 def _edge_delta_getters(t, k):
     """One getter per k-subset of the positions 0..t-1 of a t-set: given
@@ -593,6 +615,12 @@ class _Stepped(Colouring):
 
     def span_cost(self, t: int) -> tuple[int, str]:
         return 1, "set lookups"
+
+    def classes(self, t: int):
+        """One class per delta sequence of :func:`delta.delta_classes`, its
+        least member from :func:`_least_with_deltas`."""
+        for ds, count in delta.delta_classes(t - 1, self.base.num_vertices):
+            yield _least_with_deltas(ds), count
 
     def palette_codes(self):
         # a span is one lookup per delta sequence: the per-set scan is cheaper
@@ -1101,18 +1129,17 @@ def sweep_reachable_colours(c: Colouring, counts: bool = False):
     """Collect the colours of every edge of the universe.
 
     Returns ``(colours, histogram)`` where ``histogram`` maps colour ->
-    edge count when ``counts`` is requested (else ``None``).  A stepped
-    colouring's edge colour is a function of the edge's delta sequence, so
-    its sweep is an exact sum over the delta classes of
-    :func:`delta.delta_classes`, one colour evaluation per class; any
-    other colouring is read through :meth:`Colouring.edge_colours`.
+    edge count when ``counts`` is requested (else ``None``).  When
+    :meth:`Colouring.classes` gives classes of edges, the sweep is an exact
+    sum over them, one colour evaluation per class at its least member;
+    any other colouring is read through :meth:`Colouring.edge_colours`.
     """
-    hist: dict = {}
-    if isinstance(c, _Stepped):
-        for ds, n in delta.delta_classes(c.uniformity - 1, c.base.num_vertices):
-            col = c.colour_of_deltas(ds)
-            hist[col] = hist.get(col, 0) + n
+    classes = c.classes(c.uniformity)
+    if classes is None:
+        pairs = zip(c.edge_colours(), itertools.repeat(1))
     else:
-        for col in c.edge_colours():
-            hist[col] = hist.get(col, 0) + 1
+        pairs = ((c._colour(least), n) for least, n in classes)
+    hist: dict = {}
+    for col, n in pairs:
+        hist[col] = hist.get(col, 0) + n
     return set(hist), (hist if counts else None)

@@ -177,6 +177,8 @@ def test_delta_classes_count_every_subset():
             assert sum(got.values()) == math.comb(1 << m, length + 1)
             if length <= 4:
                 assert got == brute, (length, m)
+    # more deltas than 2^m vertices allow: nothing, without a search
+    assert list(dl.delta_classes(64, 6)) == []
     with pytest.raises(ParameterError):
         dl.delta_classes(-1, 3)
 

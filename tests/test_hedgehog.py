@@ -855,6 +855,14 @@ def test_host_class_least_members_by_brute_force():
     assert first == want
 
 
+def test_host_sweep_sums_part_profiles():
+    # one colour per part profile of a triple, against every edge's colour
+    for n in (4, 8, 12):
+        host = hh.BurrErdosHost(n)
+        hist = dict(collections.Counter(host.edge_colours()))
+        assert su.sweep_reachable_colours(host, counts=True) == (set(hist), hist)
+
+
 def test_lex_rank_matches_enumeration():
     for n, k in ((9, 5), (10, 3), (7, 1), (6, 6)):
         for rank, c in enumerate(itertools.combinations(range(1, n + 1), k)):

@@ -295,12 +295,24 @@ def colouring_classes():
         found |= more
 
 
+def names_in_function(path, name):
+    """Every name that the top-level function ``name`` of ``path`` reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    fn = next(node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == name)
+    return {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+
+
 def test_rainbow_picks_no_kernel_by_colouring_class():
-    """``verify_rainbow`` chooses between the prefix scan and the per-set
-    scan through ``Colouring.palette_codes`` alone: no ``isinstance`` in
-    ``rainbow.py`` tests a colouring class."""
+    """``verify_rainbow`` chooses between the class sum, the prefix scan and
+    the per-set scan through ``Colouring.classes`` and
+    ``Colouring.palette_codes`` alone: no ``isinstance`` in ``rainbow.py``
+    tests a colouring class.  ``sweep_reachable_colours`` reads
+    ``Colouring.classes`` and names no subclass of ``Colouring``."""
     kinds = colouring_classes()
     assert {"TabulatedColouring", "_Stepped", "LiftedColouring",
             "BurrErdosHost"} <= kinds
     named = isinstance_names(PACKAGE / "rainbow.py")
     assert [(line, n) for line, n in named if n in kinds] == []
+    sweep = names_in_function(PACKAGE / "stepup.py", "sweep_reachable_colours")
+    assert "isinstance" not in sweep and sweep & (kinds - {"Colouring"}) == set()

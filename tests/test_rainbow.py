@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from ramseykit import rainbow as rb
 from ramseykit import stepup as su
 from ramseykit.errors import BudgetExceededError, ParameterError
-from ramseykit.hedgehog import LiftedColouring
+from ramseykit.hedgehog import BurrErdosHost, LiftedColouring
 
 
 def pentagon():
@@ -95,14 +95,31 @@ def reference_scan(c, t, p):
     """Exhaustive scan edge by edge through ``Colouring.colour``: the
     least violating set with its sorted colours (or ``None``, ()), the span
     histogram up to it, and the number of sets checked."""
-    hist, count = {}, 0
+    return reference_scans(c, t, [p])[p]
+
+
+def reference_scans(c, t, ps):
+    """``{p: reference_scan(c, t, p)}`` for every p of ``ps`` from one
+    lexicographic pass, each edge coloured once through ``colour``: a set
+    that spans s colours is the first violation of every pending p > s."""
+    colour_of = {}
+    hist, count, out = {}, 0, {}
+    pending = sorted(set(ps), reverse=True)
     for ts in itertools.combinations(range(1, c.num_vertices + 1), t):
-        seen = {c.colour(e) for e in itertools.combinations(ts, c.uniformity)}
+        if not pending:
+            break
+        seen = set()
+        for e in itertools.combinations(ts, c.uniformity):
+            if e not in colour_of:
+                colour_of[e] = c.colour(e)
+            seen.add(colour_of[e])
         count += 1
         hist[len(seen)] = hist.get(len(seen), 0) + 1
-        if len(seen) < p:
-            return ts, tuple(sorted(seen)), hist, count
-    return None, (), hist, count
+        while pending and len(seen) < pending[0]:
+            out[pending.pop(0)] = ts, tuple(sorted(seen)), dict(hist), count
+    for p in pending:
+        out[p] = None, (), hist, count
+    return out
 
 
 def stepped(k, n, q, seed, steps):
@@ -127,6 +144,108 @@ def test_stepped_verify_matches_edge_by_edge_scan(schedule, t, p, passed):
     assert (rep.histogram, rep.sets_checked) == (hist, count)
     if not passed:
         assert count < math.comb(c.num_vertices, t)  # a partial histogram
+
+
+def least_class_span(c, t):
+    """The fewest colours any t-set of ``c`` spans, read from its classes."""
+    return min((len(c.span(least)) for least, _ in c.classes(t)), default=1)
+
+
+def assert_verify_matches_reference_scans(make, ts):
+    # every report field against the reference scan, at p below, at and
+    # above the least span of a class, on a colouring that spanned nothing
+    # before the check
+    for t in ts:
+        low = least_class_span(make(), t)
+        ps = sorted({max(1, low - 1), low, low + 1})
+        refs = reference_scans(make(), t, ps)
+        for p in ps:
+            violating_set, colours, hist, count = refs[p]
+            want = rb.RainbowReport(
+                passed=violating_set is None, t=t, p=p, coverage="exhaustive",
+                violating_set=violating_set, violating_colours=colours,
+                histogram=hist, sets_checked=count,
+            )
+            assert rb.verify_rainbow(make(), t, p) == want, (t, p)
+        if t <= make().num_vertices:  # p above the least span fails
+            assert refs[low + 1][0] is not None
+
+
+# the reference pass over every t-set of a 32-vertex universe stops at t = 5
+@pytest.mark.parametrize("schedule, ts", [
+    ((3, 4, 3, 11, [("up1", 3, 5)]), [*range(4, 9), 17]),
+    ((3, 4, 3, 11, [("up1b", 3, 5)]), [*range(4, 9), 17]),
+    ((2, 4, 3, 1, [("up2", 2, 2)]), [*range(4, 9), 17]),
+    ((3, 5, 3, 8, [("up1", 3, 5)]), [4, 5, 33]),
+    ((3, 5, 3, 8, [("up1b", 3, 5)]), [4, 5, 33]),
+    ((2, 5, 3, 2, [("up2", 2, 2)]), [4, 5, 33]),
+    ((2, 2, 2, 0, [("up2", 2, 2), ("up1", 4, 3)]), [*range(5, 9), 17]),
+], ids=["up1-16", "up1b-16", "up2-16", "up1-32", "up1b-32", "up2-32",
+        "up2-up1-16"])
+def test_stepped_class_sum_matches_reference_scan(schedule, ts):
+    assert_verify_matches_reference_scans(lambda: stepped(*schedule), ts)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_host_class_sum_matches_reference_scan(n):
+    # part profiles decide the span of a Burr-Erdos host's t-sets
+    assert_verify_matches_reference_scans(lambda: BurrErdosHost(n), [3, 4])
+
+
+class CountingSpans(su.SteppedPlusOne):
+    """A ``up1`` step that records each span it computes."""
+
+    def __init__(self, base, partition):
+        self.spans = []
+        super().__init__(base, partition, aliased=False)
+
+    def _span_of_deltas(self, ds):
+        self.spans.append(ds)
+        return super()._span_of_deltas(ds)
+
+
+class PoolStarted(Exception):
+    pass
+
+
+def test_passing_stepped_verify_sums_classes_and_scans_no_set(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("a passing stepped verify scanned sets")
+
+    monkeypatch.setattr(rb, "_scan", no_scan)
+    c = CountingSpans(su.random_colouring(3, 4, 3, 11), su.partition_patterns(3, 5))
+    rep = rb.verify_rainbow(c, 6, 3)
+    assert rep.passed and rep.sets_checked == math.comb(16, 6)
+    least = [ts for ts, _ in c.classes(6)]
+    assert sorted(c.spans) == sorted(map(su._edge_deltas, least))  # once each
+
+
+def test_class_sum_starts_no_process_pool(monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise PoolStarted
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(rb.os, "cpu_count", lambda: 2)
+    c = stepped(3, 4, 3, 11, [("up1", 3, 5)])
+    assert rb.verify_rainbow(c, 6, 3, workers=2) == rb.verify_rainbow(c, 6, 3)
+    with pytest.raises(PoolStarted):  # a failing check still splits its scan
+        rb.verify_rainbow(stepped(3, 4, 3, 12, [("up1", 3, 5)]), 7, 4, workers=2)
+
+
+def test_failing_stepped_verify_is_the_literal_scan(monkeypatch):
+    calls = []
+    scan = rb._scan
+
+    def counted(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(rb, "_scan", counted)
+    rep = rb.verify_rainbow(stepped(3, 4, 3, 12, [("up1", 3, 5)]), 7, 4)
+    assert calls and not rep.passed
+    assert rep == per_set_report(stepped(3, 4, 3, 12, [("up1", 3, 5)]), 7, 4)
 
 
 def test_stepped_verify_budget_counts_sets():

@@ -304,6 +304,32 @@ def test_class_sweep_matches_every_edge_two_step_tower(schedule):
         _assert_sweep_is_exact(su.tower_compose(base, schedule))
 
 
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("make", [
+    lambda m: su.step_up_1(su.random_colouring(3, m, 3, seed=m), su.partition_patterns(3, 5)),
+    lambda m: su.step_up_2(su.random_colouring(2, m, 3, seed=m), 2),
+], ids=["up1", "up2"])
+def test_stepped_classes_match_brute_force(make, m):
+    # every t-set of the 2^m vertices grouped by delta sequence: one class
+    # per sequence, its count, and its lexicographically least member
+    c = make(m)
+    n = c.num_vertices
+    for t in range(c.uniformity, 7):
+        brute = {}
+        for ts in itertools.combinations(range(1, n + 1), t):
+            least, count = brute.get(su._edge_deltas(ts), (ts, 0))
+            brute[su._edge_deltas(ts)] = least, count + 1
+        got = list(c.classes(t))
+        assert sum(count for _, count in got) == math.comb(n, t)
+        assert sorted(got) == sorted(brute.values()), (m, t)
+    assert list(c.classes(n + 1)) == []
+
+
+def test_unstepped_colourings_have_no_classes(base36):
+    assert base36.classes(4) is None
+    assert su.lift_colouring(su.random_colouring(2, 6, 6, seed=1), 3).classes(4) is None
+
+
 def test_sweep_matches_direct_evaluation_on_sample(base36, part35):
     up1 = su.step_up_1(base36, part35)
     _, hist = su.sweep_reachable_colours(up1, counts=True)
