@@ -230,6 +230,9 @@ def cmd_stepup(args):
 
 def cmd_verify(args):
     c = _load_schedule_colouring(args) if args.schedule else _load_base(args)
+    # verify runs in one process; --workers is only recorded in the config
+    if args.workers < 1:
+        raise ParameterError(f"workers = {args.workers}, must be at least 1")
     rep = rainbow.verify_rainbow(
         c,
         args.t,
@@ -238,7 +241,6 @@ def cmd_verify(args):
         trials=args.sample,
         seed=args.seed,
         budget=args.budget,
-        workers=args.workers,
     )
     doc = {
         "command": "verify",

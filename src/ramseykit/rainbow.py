@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
 from dataclasses import dataclass, field
 
@@ -66,39 +65,33 @@ def verify_rainbow(
     trials: int = 1000,
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> RainbowReport:
     """Check that every (or each sampled) t-set spans at least p colours.
 
     Sets are visited in lexicographic order (sampled ones in draw order),
     and the report does not depend on how their colours are found.  An
-    exhaustive check first reads ``colouring.classes(t)``, the classes of
-    t-sets that span the same colours by construction (the delta classes
-    of a stepped colouring, the part profiles of a Burr-Erdos host): when
-    every class's least member spans at least p colours, the histogram is
-    the sum of the class counts by span, and all C(n, t) sets count as
-    checked.  At the first class that spans fewer, or with no classes, it
-    scans the t-sets in lexicographic order up to the least violating set.
-    When ``colouring.palette_codes()`` gives codes (a tabulated colouring,
-    or any other with at most MAX_BUILT edges) that scan is a depth-first
-    scan over vertex prefixes that ORs each new vertex's edge bits into
-    its prefix's palette bitmask; a prefix that already spans every colour
-    in use, when those are at least p, counts all its extensions at once.
-    A stepped colouring, one above MAX_BUILT edges, and every sampled
-    check read each set's colours from ``colouring.span``: a stepped
-    colouring computes a span once per distinct delta sequence, and any
-    other remembers each edge colour it has read.  Sampling needs t <= n;
-    exhaustively, t > n passes with no set checked.  Before any set is
+    exhaustive check runs in this process, in at most two steps.  It first
+    reads ``colouring.classes(t)``, the classes of t-sets that span the
+    same colours by construction (the delta classes of a stepped
+    colouring, the part profiles of a Burr-Erdos host): when every class's
+    least member spans at least p colours, the histogram is the sum of the
+    class counts by span, and all C(n, t) sets count as checked.  At the
+    first class that spans fewer, or with no classes, it scans the t-sets
+    in lexicographic order up to the least violating set.  When
+    ``colouring.palette_codes()`` gives codes (a tabulated colouring, or
+    any other with at most MAX_BUILT edges) that scan is one depth-first
+    search over vertex prefixes, :func:`_prefix_scan`, that ORs each new
+    vertex's edge bits into its prefix's palette bitmask; a prefix that
+    already spans every colour in use, when those are at least p, counts
+    all its extensions at once.  A stepped colouring, one above MAX_BUILT
+    edges, and every sampled check read each set's colours from
+    ``colouring.span`` in :func:`_scan`: a stepped colouring computes a
+    span once per distinct delta sequence, and any other remembers each
+    edge colour it has read.  Sampling needs t <= n; exhaustively, t > n
+    passes with no set checked and no edge coloured.  Before any set is
     read, the budget is charged ``colouring.span_cost`` per set, C(t, k)
     edge evaluations or one lookup for a stepped colouring, for every
     t-set or every trial, whether or not classes decide the check.
-
-    ``workers`` must be at least 1 and is capped at the CPU count.
-    ``workers > 1`` splits the lexicographic scan across processes by
-    least vertex and replays the parts in order up to the first violation,
-    so the report (verdict, witness, histogram and ``sets_checked``)
-    equals the serial run's; a check that its classes decide starts no
-    process.
     """
     k = colouring.uniformity
     n = colouring.num_vertices
@@ -106,8 +99,6 @@ def verify_rainbow(
         raise ParameterError(f"t = {t} below the uniformity {k}")
     if p < 1:
         raise ParameterError("p must be positive")
-    if workers < 1:
-        raise ParameterError(f"workers = {workers}, must be at least 1")
     if mode not in ("exhaustive", "sampled"):
         raise ParameterError(f"unknown mode {mode!r}")
     sampled = mode == "sampled"
@@ -123,22 +114,18 @@ def verify_rainbow(
     hist = None if classes is None else _class_histogram(classes, colouring.span, p)
     if hist is not None:
         violation, checked = None, math.comb(n, t)
-    elif not sampled:
-        firsts = range(1, n - t + 2)
-        workers = min(workers, os.cpu_count() or 1)
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            jobs = [(colouring, t, p, firsts[i::workers]) for i in range(workers)]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = [x for chunk in pool.map(_scan_firsts, jobs) for x in chunk]
-        else:
-            parts = _scan_firsts((colouring, t, p, firsts))
-        violation, hist, checked = _replay(parts)
-    else:
+    elif sampled:
         rng = random.Random(seed)
         sets = (_sample_set(rng, n, t) for _ in range(trials))
         violation, hist, checked = _scan(colouring, sets, p)
+    else:
+        # with no t-set, colour no edge for the palette codes
+        coded = colouring.palette_codes() if t <= n else None
+        if coded is not None:
+            violation, hist, checked = _prefix_scan(coded, k, n, t, p)
+        else:
+            sets = itertools.combinations(range(1, n + 1), t)
+            violation, hist, checked = _scan(colouring, sets, p)
 
     violating_set, violating_colours = violation or (None, ())
     return RainbowReport(
@@ -188,37 +175,9 @@ def _scan(colouring, sets, p):
     return None, hist, checked
 
 
-def _scan_firsts(args):
-    """Scan the t-sets by least vertex, one ``(first, _scan result)`` part
-    per least vertex in ``firsts``, up to the first violating part.  A
-    colouring with palette codes is scanned by :func:`_prefix_scanner`,
-    any other set by set through ``span``.  An exhaustive check runs it
-    only when :func:`_class_histogram` does not decide a pass, so the
-    spans of a stepped colouring's passing classes are already in its
-    memo."""
-    colouring, t, p, firsts = args
-    if not firsts:  # no t-set here: colour no edge for the palette codes
-        return []
-    n = colouring.num_vertices
-    coded = colouring.palette_codes()
-    if coded is not None:
-        scan = _prefix_scanner(coded, colouring.uniformity, n, t, p)
-    else:
-        def scan(first):
-            rests = itertools.combinations(range(first + 1, n + 1), t - 1)
-            return _scan(colouring, map((first,).__add__, rests), p)
-    parts = []
-    for first in firsts:
-        part = scan(first)
-        parts.append((first, part))
-        if part[0] is not None:
-            break
-    return parts
-
-
-def _prefix_scanner(coded, k, n, t, p):
-    """The :func:`_scan` result over the t-sets with a given least vertex,
-    from a depth-first search over vertex prefixes in lexicographic order.
+def _prefix_scan(coded, k, n, t, p):
+    """The :func:`_scan` result over every t-set of 1..n in lexicographic
+    order, from one depth-first search over vertex prefixes.
 
     ``coded`` is ``(colours, codes)`` from :meth:`Colouring.palette_codes`.
     A prefix carries the bitmask of the palette codes of its edges: its
@@ -239,9 +198,10 @@ def _prefix_scanner(coded, k, n, t, p):
     tables = _rank_tables(k, n)
     last = tables[k - 1]
     prefix = [0] * t
+    hist: dict[int, int] = {}
     violation = []  # the violating set's mask, once found
 
-    def extend(depth, vs, mask, partials, hist):
+    def extend(depth, vs, mask, partials):
         # the sets through prefix[:depth], whose j-subsets have partial
         # ranks partials[j], extended by each vertex of vs in turn; returns
         # the number of sets checked, up to a violation
@@ -271,36 +231,16 @@ def _prefix_scanner(coded, k, n, t, p):
                     term = tables[j - 1][v]
                     grown.append(partials[j] + [r + term for r in partials[j - 1]])
                 checked += extend(depth + 1, range(v + 1, n - t + depth + 3), m,
-                                  grown, hist)
+                                  grown)
                 if violation:
                     return checked
         return checked
 
-    def scan(first):
-        hist: dict[int, int] = {}
-        violation.clear()
-        checked = extend(0, (first,), 0, [[0]] + [[]] * (k - 1), hist)
-        if not violation:
-            return None, hist, checked
-        seen = (colours[c] for c in range(len(colours)) if violation[0] >> c & 1)
-        return (tuple(prefix), tuple(sorted(seen))), hist, checked
-
-    return scan
-
-
-def _replay(parts):
-    """Merge per-least-vertex parts in vertex order, up to and including
-    the first part that holds a violation: the serial scan's result."""
-    hist: dict[int, int] = {}
-    checked = 0
-    violation = None
-    for _, (violation, h, count) in sorted(parts, key=lambda part: part[0]):
-        checked += count
-        for span, cnt in h.items():
-            hist[span] = hist.get(span, 0) + cnt
-        if violation is not None:
-            break
-    return violation, hist, checked
+    checked = extend(0, range(1, n - t + 2), 0, [[0]] + [[]] * (k - 1))
+    if not violation:
+        return None, hist, checked
+    seen = (colours[c] for c in range(len(colours)) if violation[0] >> c & 1)
+    return (tuple(prefix), tuple(sorted(seen))), hist, checked
 
 
 def search_random_rainbow(

@@ -167,10 +167,6 @@ class _Memo(dict):
         value = self[key] = self.func(self.owner(), key)
         return value
 
-    def __reduce__(self):
-        fill = self.func.__get__(self.owner())
-        return _Memo, (fill,), None, None, iter(self.items())
-
 
 class Colouring:
     """Total deterministic map from k-subsets of 1..n to colour ids."""

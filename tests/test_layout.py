@@ -4,6 +4,7 @@ public name of the library is reached by a command, the benchmark or an
 acceptance test and takes no test hook."""
 
 import ast
+import inspect
 import pathlib
 
 import ramseykit
@@ -316,3 +317,20 @@ def test_rainbow_picks_no_kernel_by_colouring_class():
     assert [(line, n) for line, n in named if n in kinds] == []
     sweep = names_in_function(PACKAGE / "stepup.py", "sweep_reachable_colours")
     assert "isinstance" not in sweep and sweep & (kinds - {"Colouring"}) == set()
+
+
+def test_verify_runs_in_one_process():
+    """``rainbow.py`` imports neither ``os`` nor ``concurrent.futures``,
+    in any function body either, and ``verify_rainbow`` takes no
+    ``workers``: an exhaustive check runs in the calling process."""
+    from ramseykit.rainbow import verify_rainbow
+
+    path = PACKAGE / "rainbow.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module)
+    assert imported & {"os", "concurrent", "concurrent.futures"} == set()
+    assert "workers" not in inspect.signature(verify_rainbow).parameters

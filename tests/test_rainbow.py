@@ -3,7 +3,6 @@
 import gc
 import itertools
 import math
-import pickle
 import random
 import weakref
 
@@ -67,9 +66,6 @@ def test_verify_guards():
         rb.verify_rainbow(pentagon(), 1, 2)
     with pytest.raises(BudgetExceededError):
         rb.verify_rainbow(mono(2, 30), 15, 2, budget=10)
-    for workers in (0, -1):
-        with pytest.raises(ParameterError, match="workers"):
-            rb.verify_rainbow(pentagon(), 3, 2, workers=workers)
 
 
 def test_sampled_mode_is_labelled_and_reproducible():
@@ -77,18 +73,6 @@ def test_sampled_mode_is_labelled_and_reproducible():
     rep2 = rb.verify_rainbow(pentagon(), 3, 2, mode="sampled", trials=40, seed=9)
     assert rep1 == rep2
     assert rep1.coverage == "sampled" and rep1.seed == 9
-
-
-def test_parallel_verify_matches_serial():
-    c = su.random_colouring(3, 10, 3, seed=7)
-    serial = rb.verify_rainbow(c, 6, 3)
-    assert serial.passed
-    assert rb.verify_rainbow(c, 6, 3, workers=2) == serial
-    # a failing run stops at the least violation: same histogram and count
-    bad = su.random_colouring(2, 9, 2, seed=3)
-    serial = rb.verify_rainbow(bad, 4, 2)
-    assert not serial.passed and serial.sets_checked < math.comb(9, 4)
-    assert rb.verify_rainbow(bad, 4, 2, workers=2) == serial
 
 
 def reference_scan(c, t, p):
@@ -204,10 +188,6 @@ class CountingSpans(su.SteppedPlusOne):
         return super()._span_of_deltas(ds)
 
 
-class PoolStarted(Exception):
-    pass
-
-
 def test_passing_stepped_verify_sums_classes_and_scans_no_set(monkeypatch):
     def no_scan(*args):
         raise AssertionError("a passing stepped verify scanned sets")
@@ -218,20 +198,6 @@ def test_passing_stepped_verify_sums_classes_and_scans_no_set(monkeypatch):
     assert rep.passed and rep.sets_checked == math.comb(16, 6)
     least = [ts for ts, _ in c.classes(6)]
     assert sorted(c.spans) == sorted(map(su._edge_deltas, least))  # once each
-
-
-def test_class_sum_starts_no_process_pool(monkeypatch):
-    import concurrent.futures
-
-    def no_pool(*args, **kwargs):
-        raise PoolStarted
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setattr(rb.os, "cpu_count", lambda: 2)
-    c = stepped(3, 4, 3, 11, [("up1", 3, 5)])
-    assert rb.verify_rainbow(c, 6, 3, workers=2) == rb.verify_rainbow(c, 6, 3)
-    with pytest.raises(PoolStarted):  # a failing check still splits its scan
-        rb.verify_rainbow(stepped(3, 4, 3, 12, [("up1", 3, 5)]), 7, 4, workers=2)
 
 
 def test_failing_stepped_verify_is_the_literal_scan(monkeypatch):
@@ -276,14 +242,6 @@ def test_sampled_verify_charges_budget_before_drawing():
         rb.verify_rainbow(c, 4, 1, mode="sampled", trials=10**12, budget=10)
 
 
-def test_stepped_parallel_verify_matches_serial():
-    for seed, t, p in ((11, 6, 3), (12, 7, 4)):
-        c = stepped(3, 4, 3, seed, [("up1", 3, 5)])
-        serial = rb.verify_rainbow(c, t, p)
-        fresh = stepped(3, 4, 3, seed, [("up1", 3, 5)])
-        assert rb.verify_rainbow(fresh, t, p, workers=2) == serial
-
-
 @pytest.mark.parametrize("make, t, p", [
     (lambda: su.random_colouring(3, 10, 3, seed=7), 6, 3),
     (lambda: su.random_colouring(2, 9, 2, seed=3), 4, 2),
@@ -292,25 +250,19 @@ def test_stepped_parallel_verify_matches_serial():
     (lambda: LiftedColouring(stepped(2, 4, 6, 1, [("up2", 2, 2)]), 5), 7, 1),
     (lambda: LiftedColouring(stepped(2, 4, 6, 1, [("up2", 2, 2)]), 5), 7, 4),
 ], ids=["tabulated", "tabulated-fails", "up1", "up1-fails", "lifted", "lifted-fails"])
-def test_parallel_verify_after_a_serial_run_matches_serial(make, t, p):
-    # the workers receive the colouring pickled with its warm memos, whose
-    # fills must come back bound to the copy; exhaustive verify reads the
-    # palette codes of a non-stepped colouring, so span warms the memo
+def test_a_dropped_colouring_is_freed_at_once(make, t, p):
+    # no reference cycle runs through the memos: once a verify and a span
+    # have filled them, a dropped colouring is freed without the cycle
+    # collector; exhaustive verify reads the palette codes of a non-stepped
+    # colouring, so span fills its memo
     c = make()
-    serial = rb.verify_rainbow(c, t, p)
+    rb.verify_rainbow(c, t, p)
     c.span(tuple(range(1, t + 1)))
     assert c._colour_memo
-    copy = pickle.loads(pickle.dumps(c))
-    assert dict(copy._colour_memo) == dict(c._colour_memo)
-    assert copy._colour_memo.owner() is copy
-    assert rb.verify_rainbow(copy, t, p) == serial
-    assert rb.verify_rainbow(c, t, p, workers=2) == serial
-    # no reference cycle runs through the memos: a dropped colouring is
-    # freed at once, without the cycle collector
     gc.disable()
     try:
         gone = weakref.ref(c)
-        del c, copy
+        del c
         assert gone() is None
     finally:
         gc.enable()
@@ -397,8 +349,8 @@ def coded_table(k, n, q, unused, seed):
     return su.TabulatedColouring(k, n, None, colours, codes=codes)
 
 
-def assert_prefix_scan_matches_per_set_scan(c, t, p, workers=1):
-    rep = rb.verify_rainbow(c, t, p, workers=workers)
+def assert_prefix_scan_matches_per_set_scan(c, t, p):
+    rep = rb.verify_rainbow(c, t, p)
     ref = per_set_report(c, t, p)
     assert rep == ref
     assert list(rep.histogram.items()) == list(ref.histogram.items())
@@ -420,6 +372,12 @@ def assert_prefix_scan_matches_per_set_scan(c, t, p, workers=1):
 @example(k=2, size=5, q=3, unused=0, depth=6, p=2, seed=3)   # t > n
 @example(k=2, size=8, q=2, unused=0, depth=3, p=3, seed=4)   # p > q
 @example(k=2, size=8, q=2, unused=3, depth=3, p=2, seed=5)   # unused colours
+# the one violating set is {5, 6, 7, 8}, least vertex n - t + 1, and every
+# least vertex before it has prefixes cut by saturation
+@example(k=2, size=6, q=3, unused=1, depth=2, p=2, seed=9)
+# every set with least vertex 1 is counted by saturation cuts, none one at
+# a time, and the least violating set is {2, 3, 4, 6, 8, 9}
+@example(k=3, size=6, q=3, unused=1, depth=3, p=3, seed=17739)
 def test_prefix_scan_matches_per_set_scan(k, size, q, unused, depth, p, seed):
     # every report field of the exhaustive prefix scan against a literal
     # per-set scan, on tabulated colourings passing and failing, including
@@ -438,21 +396,13 @@ def test_prefix_scan_matches_per_set_scan(k, size, q, unused, depth, p, seed):
     depth=st.integers(0, 4),
     p=st.integers(1, 6),
     seed=st.integers(0, 10**6),
-    workers=st.sampled_from([1, 2]),
 )
 def test_prefix_scan_matches_per_set_scan_on_lifted_colourings(s, n, q, depth, p,
-                                                               seed, workers):
-    # set colours listed by one edge_colours() pass, serial and parallel
+                                                               seed):
+    # set colours listed by one edge_colours() pass
     c = LiftedColouring(su.random_colouring(s, n, q, seed), s + 1)
     t = min(s + 1 + depth, n + 1)
-    assert_prefix_scan_matches_per_set_scan(c, t, p, workers=workers)
-
-
-def test_prefix_scan_matches_per_set_scan_in_parallel():
-    for c, t, p in ((coded_table(3, 10, 3, 2, 7), 6, 3),
-                    (coded_table(2, 9, 2, 0, 3), 4, 2),
-                    (coded_table(2, 12, 4, 1, 5), 5, 2)):
-        assert_prefix_scan_matches_per_set_scan(c, t, p, workers=2)
+    assert_prefix_scan_matches_per_set_scan(c, t, p)
 
 
 def test_t_beyond_n():
