@@ -310,6 +310,21 @@ def exact_rainbow_exists(
     contiguous blocks 1^a1 2^a2 ... with a1 >= a2 >= ...; on the star the
     search allows only the next new colour or a repeat of the previous
     edge's colour that keeps the current block no longer than the last.
+
+    The search forward-checks (Haralick & Elliott, Artificial Intelligence
+    14, 1980) on colour bitmasks.  Each edge keeps a domain, the bitmask of
+    the colours it may still take, and a colour outside it is skipped.  A
+    t-set is checked once its second-to-last edge is coloured, from the OR
+    of its coloured edges' bits: at least p colours leave it be, fewer than
+    p - 1 prune the branch, and exactly p - 1 remove those colours from its
+    last edge's domain, pruning when that empties.  So the last edge's
+    domain decides the t-set exactly.  A trail undoes the domain cuts on
+    backtracking.  Only branches with no solution are pruned, so the least
+    solution is still the first found.  The depth-first search runs on an
+    explicit stack, one level per edge, so its depth is not bounded by
+    Python's recursion limit.  ``budget`` counts the nodes of this pruned
+    search: one per edge level entered.
+
     When p exceeds q or C(t, k), no t-set can span p colours and the answer
     is no without a search.  An instance that would list more than
     MAX_BUILT colours, edges or t-sets raises ParameterError.
@@ -330,48 +345,83 @@ def exact_rainbow_exists(
     m = len(edges)
     edge_index = {e: i for i, e in enumerate(edges)}
 
-    # t-sets become checkable once their last edge is assigned
-    finish_at: list[list[list[int]]] = [[] for _ in range(m)]
-    for ts in itertools.combinations(range(1, n + 1), t):
-        idxs = [edge_index[e] for e in itertools.combinations(ts, k)]
-        finish_at[max(idxs)].append(idxs)
+    # a t-set is checked when its second-to-last edge is coloured, against
+    # its last edge and the rest of its edges, coloured by then; with p = 1
+    # every t-set passes, and with p >= 2 it has at least two edges
+    watch: list[list[tuple]] = [[] for _ in range(m)]
+    if p > 1:
+        for ts in itertools.combinations(range(1, n + 1), t):
+            idxs = [edge_index[e] for e in itertools.combinations(ts, k)]
+            watch[idxs[-2]].append((idxs[-1], idxs[:-2]))
 
     star = n - k + 1
+    domain = [(1 << (q + 1)) - 2] * m  # bit c set: colour c still allowed
+    bits = [0] * m  # 1 << the colour of each coloured edge
     colours = [0] * m
+    trail: list[int] = []  # an edge and its previous domain, per domain cut
+    # per depth: the colours left to try, the least last, and the trail
+    # length, colours used and star block lengths on entry
+    todo: list[list[int]] = [[]] * m
+    entry: list[tuple] = [()] * m
     nodes = 0
+    # last, run: lengths of the previous and the current star block; both
+    # start at m so that the first block may grow to any length
+    depth, used, last, run = 0, 0, m, m
+    descend = True
+    while True:
+        if descend:
+            if depth == m:
+                break
+            nodes += 1
+            if nodes > budget:
+                charge(nodes, budget, f"exact oracle needs at least {nodes} search nodes")
+            if depth >= star:
+                choices = range(min(q, used + 1), 0, -1)
+            else:
+                choices = [used + 1] if used < q else []
+                if run < last:
+                    choices.append(colours[depth - 1])
+            dom = domain[depth]
+            todo[depth] = [c for c in choices if dom >> c & 1]
+            entry[depth] = (len(trail), used, last, run)
+        mark, used, last, run = entry[depth]
+        while len(trail) > mark:
+            old = trail.pop()
+            domain[trail.pop()] = old
+        left = todo[depth]
+        if not left:
+            depth -= 1
+            if depth < 0:
+                return False, None
+            descend = False
+            continue
+        c = left.pop()
+        colours[depth] = c
+        bits[depth] = span_c = 1 << c
+        descend = True
+        for end, rest in watch[depth]:
+            span = span_c
+            for i in rest:
+                span |= bits[i]
+            have = span.bit_count()
+            if have >= p:
+                continue
+            # the last edge adds at most one colour, and it must be new
+            dom = domain[end]
+            cut = dom & ~span
+            if have < p - 1 or not cut:
+                descend = False
+                break
+            if cut != dom:
+                trail += (end, dom)
+                domain[end] = cut
+        if descend:
+            last, run = (run, 1) if c > used else (last, run + 1)
+            used = max(used, c)
+            depth += 1
 
-    def dfs(depth: int, used: int, last: int, run: int) -> bool:
-        # last, run: lengths of the previous and the current star block;
-        # both start at m so that the first block may grow to any length
-        nonlocal nodes
-        if depth == m:
-            return True
-        nodes += 1
-        if nodes > budget:
-            charge(nodes, budget, f"exact oracle needs at least {nodes} search nodes")
-        if depth >= star:
-            choices = range(1, min(q, used + 1) + 1)
-        else:
-            choices = [colours[depth - 1]] if run < last else []
-            if used < q:
-                choices.append(used + 1)
-        for c in choices:
-            colours[depth] = c
-            ok = True
-            for idxs in finish_at[depth]:
-                if len({colours[i] for i in idxs}) < p:
-                    ok = False
-                    break
-            blocks = (run, 1) if c > used else (last, run + 1)
-            if ok and dfs(depth + 1, max(used, c), *blocks):
-                return True
-        colours[depth] = 0
-        return False
-
-    if dfs(0, 0, m, m):
-        table = {e: ("base", colours[i]) for i, e in enumerate(edges)}
-        witness = TabulatedColouring(
-            k, n, table, [("base", i) for i in range(1, q + 1)]
-        )
-        return True, witness
-    return False, None
+    table = {e: ("base", colours[i]) for i, e in enumerate(edges)}
+    witness = TabulatedColouring(
+        k, n, table, [("base", i) for i in range(1, q + 1)]
+    )
+    return True, witness

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from ramseykit import cli, hedgehog, rainbow
+from ramseykit import cli, hedgehog, rainbow, stepup
 from ramseykit.cli import main
 
 
@@ -44,6 +44,20 @@ def test_exact_oracle_exit_codes(capsys):
         "--n", "5",
     )
     assert code == 0
+
+
+def test_exact_oracle_searches_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # 1,035 edges, one search level each: more than Python's default
+    # recursion limit of 1,000 frames
+    table = tmp_path / "witness.txt"
+    code, out, err = run(
+        capsys, "exact-oracle", "--k", "2", "--n", "46", "--q", "2", "--t", "45",
+        "--p", "2", "--export", str(table),
+    )
+    assert code == 0 and err == "" and "a rainbow colouring exists" in out
+    witness = stepup.parse_tabulated(table.read_text())
+    assert witness.num_vertices == 46
+    assert rainbow.verify_rainbow(witness, 45, 2).passed
 
 
 def test_bad_parameters_exit_2(tmp_path, capsys):

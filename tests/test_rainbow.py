@@ -533,11 +533,12 @@ def test_exact_oracle_rainbow_triangles_follow_the_chromatic_index(q):
 
 
 def test_exact_oracle_matches_unpruned_search():
-    # the star rule keeps the lex-least solution: same answer, same witness
+    # the star rule and the forward check keep the lex-least solution:
+    # same answer, same witness
     compared = 0
     for k in (1, 2, 3):
-        for n in range(k, 7):
-            for q, t in itertools.product((1, 2, 3), range(k, n + 1)):
+        for n in range(k, 8):
+            for q, t in itertools.product((1, 2, 3, 4), range(k, n + 1)):
                 for p in range(1, q + 2):
                     want = reference_lex_least(k, n, q, t, p, budget=2 * 10**4)
                     if want == "over":
@@ -549,7 +550,13 @@ def test_exact_oracle_matches_unpruned_search():
                         got = [wit.colour(e)[1] for e in edges]
                     assert got == want, (k, n, q, t, p)
                     compared += 1
-    assert compared >= 400
+    assert compared >= 850
+
+
+def test_exact_oracle_refutes_3_7_3_4_3():
+    # the unpruned search agrees after about 1.1e7 nodes; the forward check
+    # decides it in 261,134
+    assert rb.exact_rainbow_exists(3, 7, 3, 4, 3) == (False, None)
 
 
 def test_exact_oracle_p_beyond_q_or_edges():
@@ -563,6 +570,10 @@ def test_exact_oracle_budget():
     with pytest.raises(BudgetExceededError,
                        match="^exact oracle needs at least 6 search nodes, budget is 5$"):
         rb.exact_rainbow_exists(2, 7, 3, 4, 3, budget=5)
-    # the star rule prunes: the n = 6 case of R(3,3) = 6 ends in 29 nodes,
-    # against 174 with star blocks of any length and over 400 without
-    assert not rb.exact_rainbow_exists(2, 6, 2, 3, 2, budget=100)[0]
+    # the star rule and the forward check prune: the n = 6 case of
+    # R(3,3) = 6 ends in 15 nodes, against 29 with the star rule alone, 174
+    # with star blocks of any length and over 400 with neither
+    assert not rb.exact_rainbow_exists(2, 6, 2, 3, 2, budget=15)[0]
+    with pytest.raises(BudgetExceededError,
+                       match="^exact oracle needs at least 15 search nodes, budget is 14$"):
+        rb.exact_rainbow_exists(2, 6, 2, 3, 2, budget=14)
