@@ -34,7 +34,6 @@ from .errors import (
 from .stepup import Colouring, LiftedColouring, _comb_upto, _lex_rank, _sample_set
 from .stepup import colour_str
 from .stepup import lift_colouring
-from . import rainbow as _rainbow
 
 __all__ = [
     "Hypergraph",
@@ -304,7 +303,9 @@ class SpreadReport:
     For every body of t vertices the base colours it spans (at least
     p'*p + 1 by the verified rainbow property) each appear in some spine
     edge's colour set, and one set holds only p of them, so any copy on
-    that body spans at least p'+1 lifted colours.  Random embeddings are
+    that body spans at least p'+1 lifted colours.  ``bodies_checked`` and
+    ``min_base_span`` are read from the exhaustive base report: the t-sets
+    it checked and the least span in its histogram.  Random embeddings are
     also evaluated directly.
     """
 
@@ -327,37 +328,33 @@ def verify_hedgehog_spread(
     lifted: LiftedColouring,
     t: int,
     p_prime: int,
-    base_report=None,
+    base_report,
     embeddings: int = 1000,
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
 ) -> SpreadReport:
     """Certify the pigeonhole chain for every body and spot-check embeddings.
 
-    The base colouring must verify (t, p'*p + 1)-rainbow exhaustively
-    (done here, within ``budget``, when no report is supplied); a sampled
-    or failing ``base_report`` raises PreconditionError.
-    Every t-set body is then certified, and ``embeddings`` random
-    placements with random disjoint private vertices are evaluated through
-    the lifted colouring; each must span at least p'+1 distinct colour
-    sets.  Each stage is charged against ``budget`` before it runs, and
-    BudgetExceededError is raised if the charge exceeds it: the body scan
-    C(n, t) times the base's span cost of one t-set, the placements C(t, s)
-    lifted colours per embedding, one per spine edge.
+    ``base_report`` must be a passing exhaustive (t, p'*p + 1)-rainbow
+    verify of the base colouring that checked all C(n, t) bodies, else
+    PreconditionError is raised.  Every body's span is read from it, so
+    no body is coloured again here: the spread inherits whichever kernel
+    decided the base.  Then ``embeddings`` random placements with random
+    disjoint private vertices are evaluated through the lifted colouring;
+    each must span at least p'+1 distinct colour sets.  They are charged
+    against ``budget`` before they run, C(t, s) lifted colours per
+    embedding, one per spine edge, and BudgetExceededError is raised if
+    the charge exceeds it.
     """
     base = lifted.base
     s = base.uniformity
     k = lifted.uniformity
     p = lifted.p
     need = p_prime * p + 1
-    if base_report is None:
-        base_report = _rainbow.verify_rainbow(base, t, need, mode="exhaustive",
-                                              budget=budget)
+    unverified = f"base colouring is not verified ({t}, {need})-rainbow exhaustively"
     if (not base_report.passed or base_report.coverage != "exhaustive"
             or base_report.t != t or base_report.p < need):
-        raise PreconditionError(
-            f"base colouring is not verified ({t}, {need})-rainbow exhaustively"
-        )
+        raise PreconditionError(unverified)
 
     n = base.num_vertices
     if not s <= t <= n:  # no body spans an edge, or there is no body
@@ -365,20 +362,14 @@ def verify_hedgehog_spread(
             t=t, p_prime=p_prime, p=p, bodies_checked=0, min_base_span=0,
             embeddings_checked=0, min_lifted_span=0,
         )
-
     bodies = math.comb(n, t)
-    per_body, unit = base.span_cost(t)
-    work = bodies * per_body
-    charge(work, budget, f"spread check of {bodies} bodies needs about {work} {unit}")
-    min_span = min(
-        map(len, map(base.span, itertools.combinations(range(1, n + 1), t)))
-    )
-    violations = []
-    if min_span < need:
-        violations.append({"stage": "body-span", "span": min_span})
+    if base_report.sets_checked != bodies:
+        raise PreconditionError(f"{unverified}: its report checked "
+                                f"{base_report.sets_checked} of {bodies} bodies")
 
     n_priv = (k - s) * math.comb(t, s)
     rng = random.Random(seed)
+    violations = []
     min_lifted = None
     done = 0
     if t + n_priv <= n:
@@ -408,7 +399,7 @@ def verify_hedgehog_spread(
         p_prime=p_prime,
         p=p,
         bodies_checked=bodies,
-        min_base_span=min_span,
+        min_base_span=min(base_report.histogram),
         embeddings_checked=done,
         min_lifted_span=min_lifted if min_lifted is not None else 0,
         violations=tuple(violations),

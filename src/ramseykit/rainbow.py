@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import DEFAULT_BUDGET, ParameterError, charge
 from .stepup import Colouring, TabulatedColouring, random_colouring
-from .stepup import _check_built, _check_palette, _comb_upto, _rank_tables
+from .stepup import _check_built, _check_palette, _comb_upto, _pack, _rank_tables
 from .stepup import _sample_set
 
 __all__ = [
@@ -341,9 +341,8 @@ def exact_rainbow_exists(
     _check_built("edges", n, k)
     _check_built("t-sets", n, t)
 
-    edges = list(itertools.combinations(range(1, n + 1), k))
-    m = len(edges)
-    edge_index = {e: i for i, e in enumerate(edges)}
+    m = math.comb(n, k)
+    tables = _rank_tables(k, n)
 
     # a t-set is checked when its second-to-last edge is coloured, against
     # its last edge and the rest of its edges, coloured by then; with p = 1
@@ -351,7 +350,8 @@ def exact_rainbow_exists(
     watch: list[list[tuple]] = [[] for _ in range(m)]
     if p > 1:
         for ts in itertools.combinations(range(1, n + 1), t):
-            idxs = [edge_index[e] for e in itertools.combinations(ts, k)]
+            idxs = [sum(tab[v] for tab, v in zip(tables, e))
+                    for e in itertools.combinations(ts, k)]
             watch[idxs[-2]].append((idxs[-1], idxs[:-2]))
 
     star = n - k + 1
@@ -420,8 +420,6 @@ def exact_rainbow_exists(
             used = max(used, c)
             depth += 1
 
-    table = {e: ("base", colours[i]) for i, e in enumerate(edges)}
-    witness = TabulatedColouring(
-        k, n, table, [("base", i) for i in range(1, q + 1)]
-    )
-    return True, witness
+    palette = [("base", i) for i in range(1, q + 1)]
+    codes = _pack([c - 1 for c in colours], q)
+    return True, TabulatedColouring(k, n, None, palette, codes=codes)

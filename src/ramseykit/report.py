@@ -151,9 +151,13 @@ def _validate_sequence_witness(doc):
     s = _ints(doc["sequence"])
     ix = _ints(doc["indices"])
     tag = doc["kind"]
-    problem = seqpat.check_sequence_witness(
-        s, tag, ix, _ints(doc["left"]), _ints(doc["right"])
-    )
+    left, right = _ints(doc["left"]), _ints(doc["right"])
+    # --left and --right split on commas and whitespace, as the CLI splits them
+    configured = [_ints(doc["config"][side].replace(",", " ").split())
+                  for side in ("left", "right")]
+    if [left, right] != configured:
+        return False, "stored left and right are not the configured ones"
+    problem = seqpat.check_sequence_witness(s, tag, ix, left, right)
     if problem is not None:
         return False, problem
     if seqpat.subsequence(s, ix) != _ints(doc["values"]):
@@ -184,6 +188,8 @@ def _validate_rainbow_violation(doc):
     ts = sorted(_ints(doc["violating_set"]))
     p = int(doc["p"])
     t = int(doc["config"]["t"])
+    if p != int(doc["config"]["p"]):
+        return False, f"p = {p} is not the configured p = {doc['config']['p']}"
     if len(set(ts)) != len(ts):
         return False, "violating set repeats a vertex"
     if len(ts) != t:
@@ -205,6 +211,8 @@ def _validate_embedding_doc(doc):
     cols = {item["colour"] for item in doc["edges"]}
     if len(cols) != 1:
         return False, "edges are not monochromatic in the file"
+    if "colour" in doc and doc["colour"] not in cols:
+        return False, "stored colour is not the edges' colour"
     emb = hedgehog.HedgehogEmbedding(
         body=body,
         edges=edges,

@@ -431,6 +431,10 @@ def test_tampered_witness_fails_validation(tmp_path, capsys):
         # 1 3 2 is max-induced in 1 3 2 but lacks the left property
         {**doc, "sequence": ["1", "3", "2"], "kind": "L", "left": ["1", "3", "2"],
          "indices": ["1", "2", "3"], "values": ["1", "3", "2"]},
+        # a one-entry copy of a stored left that is not the --left of the run
+        {**doc, "kind": "L", "indices": ["1"], "values": ["4"], "left": ["1"]},
+        # a top-level colour that the edges do not have
+        {**emb, "colour": "b2" if emb["colour"] == "b1" else "b1"},
         # one edge: no command writes p-colour witnesses, so validate
         # knows no such kind
         {"witness_kind": "p-colour-witness",
@@ -508,7 +512,9 @@ def test_verify_failure_witness_validates(tmp_path, capsys):
     lambda doc: {**doc, "violating_set": doc["violating_set"] + doc["violating_set"][:1]},
     # colours that the set does not re-colour to
     lambda doc: {**doc, "violating_colours": ["b9"]},
-], ids=["repeated-vertex", "stored-colours"])
+    # a run with p = 2, which the stored 2-colour set does not violate
+    lambda doc: {**doc, "config": {**doc["config"], "p": "2"}},
+], ids=["repeated-vertex", "stored-colours", "configured-p"])
 def test_forged_rainbow_violation_fails_validation(forge, tmp_path, capsys):
     rep = tmp_path / "rep.json"
     code, _, _ = run(

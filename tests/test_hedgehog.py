@@ -2,6 +2,7 @@
 monochromatic-copy finder, and the two-part host colouring."""
 
 import collections
+import dataclasses
 import itertools
 import math
 import random
@@ -350,15 +351,19 @@ def test_spread_certification():
     assert got is not None
     base, rep, _ = got
     lifted = hh.lift_colouring(base, 3)
-    spread = hh.verify_hedgehog_spread(lifted, 4, 1, embeddings=300, seed=5)
+    spread = hh.verify_hedgehog_spread(lifted, 4, 1, base_report=rep,
+                                       embeddings=300, seed=5)
     assert spread.passed
     assert spread.bodies_checked == 210
-    assert spread.min_base_span >= 4
+    assert spread.min_base_span == min(
+        len(base.span(b)) for b in itertools.combinations(range(1, 11), 4)
+    ) >= 4
     assert spread.min_lifted_span >= 2
-    # an unverified base is rejected
-    weak = su.random_colouring(2, 10, 2, seed=0)
-    with pytest.raises((PreconditionError, ParameterError)):
-        hh.verify_hedgehog_spread(hh.lift_colouring(weak, 3), 4, 1)
+    # a base that fails the verify is rejected: 3 colours never span 4
+    weak = su.random_colouring(2, 10, 3, seed=0)
+    with pytest.raises(PreconditionError):
+        hh.verify_hedgehog_spread(hh.lift_colouring(weak, 3), 4, 1,
+                                  base_report=rb.verify_rainbow(weak, 4, 4))
 
 
 def test_spread_charges_each_embedding_its_lifted_colours():
@@ -374,18 +379,33 @@ def test_spread_charges_each_embedding_its_lifted_colours():
                                   embeddings=300, seed=5, budget=1799)
 
 
-def test_spread_charges_the_base_check_and_the_body_scan():
+def test_spread_over_a_stepped_base_reads_its_class_sum():
+    # up1 over a 3-uniform base on 4 vertices: 16 vertices, 4-uniform, and
+    # (11, 6)-rainbow by the class sum; its 5-uniform lift has sets of
+    # p = C(5, 4) = 5 base colours, so p' = 1 needs 6
+    up1 = su.step_up_1(su.random_colouring(3, 4, 3, seed=1),
+                       su.partition_patterns(3, 5))
+    rep = rb.verify_rainbow(up1, 11, 6)
+    lifted = hh.lift_colouring(up1, 5)
+    spread = hh.verify_hedgehog_spread(lifted, 11, 1, base_report=rep,
+                                       embeddings=0)
+    assert spread.passed
+    table = dict(zip(itertools.combinations(range(1, 17), 4), up1.edge_colours()))
+    brute = min(
+        len({table[e] for e in itertools.combinations(body, 4)})
+        for body in itertools.combinations(range(1, 17), 11)
+    )
+    assert spread.bodies_checked == math.comb(16, 11) == 4368
+    assert spread.min_base_span == brute == 6
+
+
+def test_spread_charges_no_body_scan():
     base, rep, _ = rb.search_random_rainbow(2, 10, 16, 4, 4, max_attempts=50,
                                             seed=2024)
     lifted = hh.lift_colouring(base, 3)
-    # both scan C(10, 4) = 210 bodies of C(4, 2) = 6 edges each
-    with pytest.raises(BudgetExceededError, match="exhaustive verification"):
-        hh.verify_hedgehog_spread(lifted, 4, 1, embeddings=0, budget=10)
-    with pytest.raises(BudgetExceededError, match="210 bodies needs about 1260"):
-        hh.verify_hedgehog_spread(lifted, 4, 1, base_report=rep, embeddings=0,
-                                  budget=10)
+    # the C(10, 4) = 210 bodies are read from the base report, uncharged
     spread = hh.verify_hedgehog_spread(lifted, 4, 1, base_report=rep,
-                                       embeddings=0, budget=1260)
+                                       embeddings=0, budget=0)
     assert spread.passed and spread.bodies_checked == 210
 
 
@@ -396,9 +416,22 @@ def test_spread_requires_an_exhaustive_base_report():
     exhaustive = rb.verify_rainbow(base, 4, 4)
     # three lucky samples prove nothing: the base fails (4, 4)
     assert sampled.passed and not exhaustive.passed
-    for rep in (sampled, exhaustive):
+    good_base, good, _ = rb.search_random_rainbow(2, 10, 16, 4, 4,
+                                                  max_attempts=50, seed=2024)
+    good_lift = hh.lift_colouring(good_base, 3)
+    assert hh.verify_hedgehog_spread(good_lift, 4, 1, base_report=good,
+                                     embeddings=0).passed
+    refused = [
+        (lifted, sampled),
+        (lifted, exhaustive),
+        # a passing report that checked one body fewer than C(10, 4)
+        (good_lift, dataclasses.replace(good, sets_checked=209)),
+        # a passing report on 5-sets says nothing of 4-set bodies
+        (good_lift, dataclasses.replace(good, t=5)),
+    ]
+    for lift, rep in refused:
         with pytest.raises(PreconditionError, match="exhaustively"):
-            hh.verify_hedgehog_spread(lifted, 4, 1, base_report=rep, embeddings=0)
+            hh.verify_hedgehog_spread(lift, 4, 1, base_report=rep, embeddings=0)
 
 
 def test_spread_vacuous_when_body_below_uniformity():
@@ -410,8 +443,12 @@ def test_spread_vacuous_when_body_below_uniformity():
 
 
 def test_spread_vacuous_when_body_exceeds_universe():
-    lifted = hh.lift_colouring(su.random_colouring(2, 6, 16, 1), 3)
-    spread = hh.verify_hedgehog_spread(lifted, 7, 1)
+    base = su.random_colouring(2, 6, 16, 1)
+    # no 7-set of 6 vertices: the exhaustive verify passes with none checked
+    rep = rb.verify_rainbow(base, 7, 4)
+    assert rep.passed and rep.sets_checked == 0
+    spread = hh.verify_hedgehog_spread(hh.lift_colouring(base, 3), 7, 1,
+                                       base_report=rep)
     assert spread.passed
     assert spread.bodies_checked == spread.embeddings_checked == 0
     assert spread.min_base_span == spread.min_lifted_span == 0

@@ -1,7 +1,8 @@
 """Package layout: the modules import one another without a cycle, the
-CLI writes reports and builds base colourings in one place each, and every
-public name of the library is reached by a command, the benchmark or an
-acceptance test and takes no test hook."""
+hedgehog layer imports no verifier, the CLI writes reports and builds base
+colourings in one place each, and every public name of the library is
+reached by a command, the benchmark or an acceptance test and takes no test
+hook."""
 
 import ast
 import inspect
@@ -66,6 +67,14 @@ def test_relative_imports_are_acyclic():
     assert "stepup" in graph and "hedgehog" in graph["cli"]
     cycle = find_cycle(graph)
     assert cycle is None, " -> ".join(cycle)
+
+
+def test_hedgehog_imports_no_verifier():
+    # a spread certificate reads its bodies from the base's rainbow report,
+    # so the hedgehog layer runs no second verifier of its own
+    files = {p.stem: p for p in PACKAGE.glob("*.py")}
+    assert "stepup" in relative_imports(files["hedgehog"], files)
+    assert "rainbow" not in relative_imports(files["hedgehog"], files)
 
 
 def calls_by_function(path):
