@@ -219,12 +219,21 @@ def piercing_number(
 ) -> PiercingResult:
     """Exact minimum hitting set over the edges of ``h`` containing ``a``.
 
-    ``a`` is a vertex set with fewer than r elements.  Vertices of
-    ``a`` itself are not allowed to pierce.  Branch-and-bound is exact
-    within the budget; if the budget runs out the result carries certified
-    bounds with ``exact=False`` instead of raising.
+    ``a`` is a vertex set with fewer than r elements, each a vertex of
+    ``h`` named once, else ParameterError names the offending vertex.
+    Vertices of ``a`` itself are not allowed to pierce.  Branch-and-bound
+    is exact within the budget; if the budget runs out the result carries
+    certified bounds with ``exact=False`` instead of raising.
     """
-    a = frozenset([a] if isinstance(a, int) else a)
+    vertices = set(h.vertices)
+    seen = set()
+    for v in [a] if isinstance(a, int) else a:
+        if v not in vertices:
+            raise ParameterError(f"vertex {v} of A is not a vertex of the hypergraph")
+        if v in seen:
+            raise ParameterError(f"vertex {v} appears more than once in A")
+        seen.add(v)
+    a = frozenset(seen)
     if len(a) >= h.r:
         raise ParameterError(f"|A| = {len(a)} must be below the uniformity {h.r}")
     rests = [frozenset(e) - a for e in h.edges if a <= set(e)]
@@ -248,18 +257,33 @@ def _greedy_hitting_set(sets) -> list[int]:
 
 
 def _min_hitting_set(sets, budget: int) -> PiercingResult:
+    """Least hitting set of ``sets`` by depth-first branch and bound from
+    the greedy upper bound, the lexicographically least of that size.
+
+    The sets, in (size, sorted members) order, are the bits of an int:
+    set i is bit i, ``hits[v]`` is the mask of the sets through v, and a
+    node holds the mask of its uncovered sets.  A node branches on the
+    lowest uncovered bit, the smallest uncovered set, one child per member
+    v in increasing order, whose uncovered mask is ``uncovered & ~hits[v]``.
+    Each node counts against ``budget``; once it runs out the result holds
+    the best set found and a disjoint-sets lower bound, not exact."""
     sets = [frozenset(s) for s in sets]
     if not sets:
         return PiercingResult(0, 0, (), True)
     best = sorted(_greedy_hitting_set(sets))
     best_size = len(best)
+    members = sorted((tuple(sorted(s)) for s in sets), key=lambda m: (len(m), m))
+    hits: dict[int, int] = {}
+    for i, m in enumerate(members):
+        for v in m:
+            hits[v] = hits.get(v, 0) | 1 << i
+    # the children of a node whose lowest uncovered bit is i: (v, ~hits[v])
+    branches = [[(v, ~hits[v]) for v in m] for m in members]
     nodes = 0
     exhausted = False
 
     def dfs(uncovered, chosen):
         nonlocal best, best_size, nodes, exhausted
-        if exhausted:
-            return
         nodes += 1
         if nodes > budget:
             exhausted = True
@@ -273,13 +297,12 @@ def _min_hitting_set(sets, budget: int) -> PiercingResult:
             return
         if len(chosen) + 1 > best_size:
             return
-        # branch on the smallest uncovered set: filtering keeps the
-        # (size, sorted members) order, so it is the first one
-        for v in uncovered[0][0]:
-            dfs([p for p in uncovered if v not in p[1]], chosen + [v])
+        for v, miss in branches[(uncovered & -uncovered).bit_length() - 1]:
+            dfs(uncovered & miss, chosen + [v])
+            if exhausted:
+                return
 
-    keyed = ((tuple(sorted(s)), s) for s in sets)
-    dfs(sorted(keyed, key=lambda p: (len(p[0]), p[0])), [])
+    dfs((1 << len(members)) - 1, [])
     if exhausted:
         # lower bound: a maximal collection of pairwise disjoint sets
         lower = 0
@@ -589,10 +612,19 @@ def _pair_danger(colouring, n, thr, c1, c2):
     """Endangered pairs at uniformity 3: the piercing number of a pair in
     one colour's host edges is its co-degree in that colour.
 
-    The c1 co-degrees come from one pass of :meth:`Colouring.edge_colours`
-    over the C(n,3) triples, each read once; a pair's co-degree in c2 is
-    n - 2 minus its co-degree in c1."""
-    red = map(c1.__eq__, colouring.edge_colours())
+    The c1 co-degrees count the triples flagged red.  The flags, one per
+    triple in lexicographic order, are the colouring's palette codes with
+    one ``bytes.translate`` that maps c1's code to 1 and every other code
+    to 0.  Only where :meth:`Colouring.palette_codes` gives none (above
+    MAX_BUILT triples, or a stepped colouring) does one
+    :meth:`Colouring.edge_colours` pass compare each colour with c1.  A
+    pair's co-degree in c2 is n - 2 minus its co-degree in c1."""
+    palette_codes = colouring.palette_codes()
+    if palette_codes is None:
+        red = bytes(map(c1.__eq__, colouring.edge_colours()))
+    else:
+        colours, codes = palette_codes
+        red = codes.translate(bytes([c == c1 for c in colours]).ljust(256, b"\0"))
     danger = {}
     for e, n1 in _co_degrees(red, n).items():
         if n1 < thr:
@@ -871,7 +903,10 @@ def parse_hypergraph(text: str, path=None) -> Hypergraph:
     check_declared(path, headerline, nv=nv)
     edges = {}  # sorted edge -> its line
     for lineno, toks in rows[1:]:
-        e = tuple(sorted(ints(toks, "vertex", path, lineno)))
+        try:
+            e = tuple(sorted(map(int, toks)))
+        except ValueError:  # let ints name the bad token
+            e = tuple(sorted(ints(toks, "vertex", path, lineno)))
         if len(e) != r or len(set(e)) != r:
             raise FileFormatError(
                 f"edge {e} is not a set of {r} distinct vertices", path=path, line=lineno

@@ -79,6 +79,8 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
     big_base.write_text("base random 3 2000 2 1\nup1 3 5\n")
     hyp = tmp_path / "h.txt"
     run(capsys, "hedgehog", "build", "--export", str(hyp))
+    burr = tmp_path / "burr-erdos-8.txt"
+    run(capsys, "burr-erdos", "--n", "8", "--export", str(burr))
     missing = str(tmp_path / "no-such-dir" / "out.txt")
     verify = ["verify", "--random-base", "2", "6", "2", "1", "--t", "3", "--p", "2"]
     cases = [
@@ -89,6 +91,13 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
         (["separated", "--seq", "3 1 2", "--perm", "2 z"], "--perm"),
         (["hedgehog", "piercing", "--hypergraph", str(hyp), "--subset", "1 q"],
          "--subset"),
+        # piercing subsets with a vertex outside the hypergraph or named twice
+        (["hedgehog", "piercing", "--hypergraph", str(burr), "--subset", "999"],
+         "vertex 999 of A is not a vertex"),
+        (["hedgehog", "piercing", "--hypergraph", str(burr), "--subset", "0"],
+         "vertex 0 of A is not a vertex"),
+        (["hedgehog", "piercing", "--hypergraph", str(burr), "--subset", "1 1"],
+         "vertex 1 appears more than once"),
         (["pattern", "--seq", "1,2"], "--seq"),
         # empty extraction patterns, whatever the sequence length
         (["extract", "--seq", "1 2 3 4", "--left", "", "--right", ""],

@@ -168,6 +168,14 @@ def test_piercing_examples():
     assert hh.piercing_number(star, (1, 2)).value == 3
     with pytest.raises(ParameterError):
         hh.piercing_number(star, (1, 2, 3))
+    # a vertex outside the hypergraph, or one named twice, is refused by name
+    h8, _ = hh.burr_erdos_pair(8)
+    for a, msg in ((999, "vertex 999 of A is not"), (0, "vertex 0 of A is not"),
+                   ((1, 0), "vertex 0 of A is not"),
+                   ((1, 1), "vertex 1 appears more than once"),
+                   ([2, 5, 2], "vertex 2 appears more than once")):
+        with pytest.raises(ParameterError, match=msg):
+            hh.piercing_number(h8, a)
 
 
 def test_piercing_matches_enumeration():
@@ -238,20 +246,91 @@ def reference_min_hitting_set(sets, budget):
     return hh.PiercingResult(best_size, best_size, tuple(best), True)
 
 
-def test_min_hitting_set_matches_reference_dfs():
-    # same search tree: the same least witness, and the same bounds when
-    # the node budget runs out part way
+def random_families():
+    """400 seeded families of up to 12 sets of 1 to 4 vertices of 1..9."""
     rng = random.Random(77)
     for _ in range(400):
         universe = range(1, rng.randint(2, 10))
-        sets = [
+        yield [
             rng.sample(universe, rng.randint(1, min(4, len(universe))))
             for _ in range(rng.randint(0, 12))
         ]
+
+
+def test_min_hitting_set_matches_reference_dfs():
+    # same search tree: the same least witness, and the same bounds when
+    # the node budget runs out part way
+    for sets in random_families():
         for budget in (3, 10, 40, 10**6):
             assert hh._min_hitting_set(sets, budget) == reference_min_hitting_set(
                 sets, budget
             ), (sets, budget)
+
+
+def list_min_hitting_set(sets, budget):
+    """The piercing DFS over lists of frozensets that the int-mask search
+    replaced, node count included: each node filters its list of
+    uncovered sets, kept in (size, sorted members) order, and branches on
+    the members of the first."""
+    sets = [frozenset(s) for s in sets]
+    if not sets:
+        return hh.PiercingResult(0, 0, (), True)
+    best = sorted(hh._greedy_hitting_set(sets))
+    best_size = len(best)
+    nodes = 0
+    exhausted = False
+
+    def dfs(uncovered, chosen):
+        nonlocal best, best_size, nodes, exhausted
+        if exhausted:
+            return
+        nodes += 1
+        if nodes > budget:
+            exhausted = True
+            return
+        if not uncovered:
+            if len(chosen) < best_size or (
+                len(chosen) == best_size and sorted(chosen) < best
+            ):
+                best = sorted(chosen)
+                best_size = len(chosen)
+            return
+        if len(chosen) + 1 > best_size:
+            return
+        for v in uncovered[0][0]:
+            dfs([p for p in uncovered if v not in p[1]], chosen + [v])
+
+    keyed = ((tuple(sorted(s)), s) for s in sets)
+    dfs(sorted(keyed, key=lambda p: (len(p[0]), p[0])), [])
+    if exhausted:
+        lower = 0
+        used = set()
+        for s in sorted(sets, key=len):
+            if not (s & used):
+                lower += 1
+                used |= s
+        return hh.PiercingResult(lower, best_size, tuple(best), False, nodes)
+    return hh.PiercingResult(best_size, best_size, tuple(best), True, nodes)
+
+
+def same_piercing(got, want):
+    """Equal results, ``nodes`` included, which ``==`` leaves out."""
+    return got == want and got.nodes == want.nodes
+
+
+def test_mask_dfs_matches_list_dfs():
+    # every 1- and 2-vertex subset of the Burr-Erdos hypergraph at n = 8
+    h, _ = hh.burr_erdos_pair(8)
+    for size in (1, 2):
+        for a in itertools.combinations(h.vertices, size):
+            rests = [frozenset(e) - set(a) for e in h.edges if set(a) <= set(e)]
+            want = list_min_hitting_set(rests, hh.DEFAULT_BUDGET)
+            assert same_piercing(hh.piercing_number(h, a), want), a
+    # random families, with budgets that run out part way and the default
+    for sets in random_families():
+        for budget in (3, 10, 40, hh.DEFAULT_BUDGET):
+            assert same_piercing(hh._min_hitting_set(sets, budget),
+                                 list_min_hitting_set(sets, budget)), (sets, budget)
 
 
 def test_piercing_nodes_are_the_least_budget_that_finishes():
@@ -507,6 +586,32 @@ class CountingTable(su.TabulatedColouring):
         return super()._colour(e)
 
 
+class CountingRule(PartRule):
+    """The part rule counting its checked and unchecked calls, its
+    whole-universe passes and its palette-code reads."""
+
+    def __init__(self, n, size):
+        super().__init__(n, size)
+        self.calls = {"colour": 0, "_colour": 0, "edge_colours": 0,
+                      "palette_codes": 0}
+
+    def colour(self, edge):
+        self.calls["colour"] += 1
+        return super().colour(edge)
+
+    def _colour(self, e):
+        self.calls["_colour"] += 1
+        return super()._colour(e)
+
+    def edge_colours(self):
+        self.calls["edge_colours"] += 1
+        return super().edge_colours()
+
+    def palette_codes(self):
+        self.calls["palette_codes"] += 1
+        return super().palette_codes()
+
+
 def test_find_mono_on_random_colourings():
     for seed in range(5):
         c = su.random_colouring(3, 81, 2, seed=seed)
@@ -676,25 +781,43 @@ def test_find_mono_bigger_body():
     assert hh.validate_embedding(emb, c, 4)
 
 
-def test_pair_danger_matches_general_danger():
-    # the k=1 fast path against the hitting-set path it shortcuts, with
-    # thresholds below, at and above the mean co-degree (n-2)/2, on random
-    # colourings, and on part colourings with red and blue both ways round
-    # and an untabulated part rule, whose danger maps are not empty
+def danger_colourings():
+    """Random colourings, part colourings with red and blue both ways
+    round, and an untabulated part rule; only the random ones have empty
+    danger maps."""
     colourings = [su.random_colouring(3, n, 2, seed=seed)
                   for n in (12, 20) for seed in range(4)]
     colourings += [part_colouring(27, parts, swap)
                    for parts in (3, 9) for swap in (False, True)]
     colourings.append(PartRule(23, 5))
-    for c in colourings:
-        n = c.num_vertices
-        mean = (n - 2) // 2
-        c1, c2 = c.palette()
-        for thr in (mean - 2, mean, mean + 2):
-            fast = hh._pair_danger(c, n, thr, c1, c2)
-            slow = hh._general_danger(c, n, 1, thr, c1, c2, hh.DEFAULT_BUDGET)
-            assert list(fast.items()) == list(slow.items())
-            assert fast or c.kind == "random-seeded"
+    return colourings
+
+
+def assert_pair_danger_matches_general_danger(c):
+    # thresholds below, at and above the mean co-degree (n-2)/2
+    n = c.num_vertices
+    mean = (n - 2) // 2
+    c1, c2 = c.palette()
+    for thr in (mean - 2, mean, mean + 2):
+        fast = hh._pair_danger(c, n, thr, c1, c2)
+        slow = hh._general_danger(c, n, 1, thr, c1, c2, hh.DEFAULT_BUDGET)
+        assert list(fast.items()) == list(slow.items())
+        assert fast or c.kind == "random-seeded"
+
+
+def test_pair_danger_matches_general_danger():
+    # the k=1 fast path, on palette codes, against the hitting-set path it
+    # shortcuts
+    for c in danger_colourings():
+        assert_pair_danger_matches_general_danger(c)
+
+
+def test_pair_danger_without_palette_codes_matches_general_danger(monkeypatch):
+    # above MAX_BUILT triples there are no palette codes: the flags come
+    # from comparing each colour of one edge_colours pass with c1
+    for c in danger_colourings():
+        monkeypatch.setattr(c, "palette_codes", lambda: None)
+        assert_pair_danger_matches_general_danger(c)
 
 
 def eager_general_danger(c, n, k, thr, c1, c2):
@@ -733,14 +856,20 @@ def test_general_danger_matches_eager_piercing():
 
 
 def test_pair_danger_colours_each_triple_once():
-    # one whole-universe pass reads each host triple's colour once, and no
-    # triple goes through the per-edge paths, checked or not
+    # a tabulated colouring hands over its palette codes: no triple's
+    # colour is read, by a whole-universe pass or a per-edge path
     n = 20
     c = CountingTable(su.random_colouring(3, n, 2, seed=3))
     c1, c2 = c.palette()
     hh._pair_danger(c, n, (n - 2) // 2, c1, c2)
-    assert c.calls == {"colour": 0, "_colour": 0, "edge_colours": 1,
-                       "yielded": math.comb(n, 3)}
+    assert c.calls == {"colour": 0, "_colour": 0, "edge_colours": 0, "yielded": 0}
+    # an untabulated one builds its codes with one edge_colours pass, which
+    # colours each triple once, and keeps them for the next call
+    rule = CountingRule(n, 5)
+    for _ in range(2):
+        hh._pair_danger(rule, n, (n - 2) // 2, hh.RED, hh.BLUE)
+    assert rule.calls == {"colour": 0, "_colour": math.comb(n, 3),
+                          "edge_colours": 1, "palette_codes": 2}
 
 
 # --- the two-part host ---------------------------------------------------------------
@@ -966,6 +1095,24 @@ def test_scan_failure_paths_match_reference_loop():
             got = host.scan_for_blue("sampled", 500, seed)
             assert not got["passed"]
             assert got == reference_scan_for_blue(host, "sampled", 500, seed)
+
+
+def test_hypergraph_parse_names_the_bad_token():
+    # a bad token first, in the middle or last on an edge line, two bad
+    # tokens (the first is named), and one in the header
+    good = "1 2 3\n"
+    for text, msg in (
+        ("3 4 2\n" + good + "x 2 4\n", "h.txt:3: bad vertex 'x'"),
+        ("3 4 2\n1 y 4\n" + good, "h.txt:2: bad vertex 'y'"),
+        ("3 4 2\n" + good + "2 3 4.0\n", "h.txt:3: bad vertex '4.0'"),
+        ("3 4 2\n" + good + "a 3 b\n", "h.txt:3: bad vertex 'a'"),
+        ("3 four 2\n" + good + "2 3 4\n", "h.txt:1: bad header value 'four'"),
+    ):
+        with pytest.raises(FileFormatError) as info:
+            hh.parse_hypergraph(text, path="h.txt")
+        assert str(info.value) == msg
+        assert info.value.path == "h.txt"
+        assert info.value.line == int(msg.split(":")[1])
 
 
 def test_hypergraph_file_roundtrip():
