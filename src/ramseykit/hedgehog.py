@@ -15,6 +15,7 @@ import collections
 import heapq
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 
@@ -68,6 +69,9 @@ class Hypergraph:
         vs = set(self.vertices)
         if len(vs) != len(self.vertices):
             raise ParameterError("duplicate vertices")
+        if _edges_well_formed(self.r, vs, self.edges):
+            return
+        # name the first bad edge
         seen = set()
         for e in self.edges:
             if len(e) != self.r or len(set(e)) != self.r:
@@ -79,6 +83,19 @@ class Hypergraph:
             if e in seen:
                 raise ParameterError(f"duplicate edge {e}")
             seen.add(e)
+
+
+def _edges_well_formed(r, vs, edges) -> bool:
+    """Whether ``edges`` are distinct sorted tuples of r distinct vertices
+    of the set ``vs``, checked in bulk rather than edge by edge."""
+    if not (set(map(type, edges)) <= {tuple} and set(map(len, edges)) <= {r}):
+        return False
+    cols = list(zip(*edges))  # cols[i] holds entry i of every edge
+    return (
+        all(all(map(operator.lt, a, b)) for a, b in zip(cols, cols[1:]))
+        and vs.issuperset(itertools.chain.from_iterable(edges))
+        and len(set(edges)) == len(edges)
+    )
 
 
 @dataclass(frozen=True)

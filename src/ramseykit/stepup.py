@@ -965,13 +965,30 @@ def parse_schedule(text: str, path=None):
 # ---------------------------------------------------------------------------
 
 def format_tabulated(c: TabulatedColouring) -> str:
+    """The file :func:`parse_tabulated` reads, edges in lexicographic order."""
+    colours, codes = c.palette_codes()
+    names = [" " + colour_str(col) for col in colours]
+    # the k-subsets of the labels "1".."n" come in the order of _edges()
+    labels = map(str, range(1, c.num_vertices + 1))
+    edges = map(" ".join, itertools.combinations(labels, c.uniformity))
     lines = [f"{c.uniformity} {c.num_vertices} {c.budget}"]
-    for e, col in zip(c._edges(), c.edge_colours()):
-        lines.append(" ".join(str(v) for v in e) + " " + colour_str(col))
+    lines += map(str.__add__, edges, map(names.__getitem__, codes))
     return "\n".join(lines) + "\n"
 
 
 def parse_tabulated(text: str, path=None) -> TabulatedColouring:
+    """The colouring in ``text``: a ``k n q`` header, then one line
+    ``v1 ... vk colour`` per edge, in any order, with ``#`` comments and
+    blank lines ignored.  The colour is in :func:`colour_str` form; every
+    k-subset of 1..n must be coloured exactly once, with at most q colours.
+
+    Errors are FileFormatError at ``path:line``.  The header is checked
+    first (its token count, its integers, then the declared sizes).  Edge
+    lines are checked in file order, each for: its token count, its
+    vertices (the first bad token is named), a k-subset of 1..n, its colour
+    and a repeated edge.  Then, at the header line, more than q colours and
+    an edge count other than C(n, k).
+    """
     rows = records(text)
     if not rows:
         raise FileFormatError("empty colouring file", path=path)
@@ -981,24 +998,32 @@ def parse_tabulated(text: str, path=None) -> TabulatedColouring:
     k, n, q = ints(head, "header value", path, headerline)
     check_declared(path, headerline, k=k, n=n, q=q)
     table = {}
+    parsed = {}  # colour token -> its colour, each token parsed once
     for lineno, toks in rows[1:]:
         if len(toks) != k + 1:
             raise FileFormatError(
                 f"expected {k} vertices and a colour", path=path, line=lineno
             )
-        e = tuple(sorted(ints(toks[:k], "vertex", path, lineno)))
-        if len(set(e)) != k or any(v < 1 or v > n for v in e):
+        try:
+            e = tuple(sorted(map(int, toks[:k])))
+        except ValueError:  # let ints name the bad token
+            e = tuple(sorted(ints(toks[:k], "vertex", path, lineno)))
+        # e is empty only under a k = 0 header, which the colouring refuses
+        if len(set(e)) != k or e and (e[0] < 1 or e[-1] > n):
             raise FileFormatError(
                 f"edge {e} is not a {k}-subset of 1..{n}", path=path, line=lineno
             )
-        try:
-            col = parse_colour(toks[k])
-        except FileFormatError as exc:
-            raise FileFormatError(str(exc), path=path, line=lineno) from None
+        tok = toks[k]
+        col = parsed.get(tok)
+        if col is None:
+            try:
+                col = parsed[tok] = parse_colour(tok)
+            except FileFormatError as exc:
+                raise FileFormatError(str(exc), path=path, line=lineno) from None
         if e in table:
             raise FileFormatError(f"duplicate edge {e}", path=path, line=lineno)
         table[e] = col
-    palette = sorted(set(table.values()))
+    palette = sorted(set(parsed.values()))
     if len(palette) > q:
         raise FileFormatError(
             f"{len(palette)} distinct colours exceed declared budget {q}",

@@ -81,6 +81,35 @@ def test_build_guards():
         hh.build_hedgehog(1, 3, 2)
 
 
+def test_hypergraph_constructor_messages():
+    vs = (1, 2, 3, 4, 5)
+    ok = ((1, 2, 3), (1, 2, 4), (2, 4, 5))
+    cases = [
+        ((1, 2, 2), (), "duplicate vertices"),
+        (vs, ((1, 2),), "edge (1, 2) is not an 3-set"),
+        (vs, ((1, 2, 3, 4),), "edge (1, 2, 3, 4) is not an 3-set"),
+        (vs, ((1, 1, 2),), "edge (1, 1, 2) is not an 3-set"),
+        (vs, ((2, 1, 3),), "edge (2, 1, 3) is not sorted"),
+        (vs, ([1, 2, 3],), "edge [1, 2, 3] is not sorted"),
+        (vs, (frozenset((1, 2, 3)),), "edge frozenset({1, 2, 3}) is not sorted"),
+        (vs, ((1, 2, 9),), "edge (1, 2, 9) uses unknown vertices"),
+        (vs, ((0, 1, 2),), "edge (0, 1, 2) uses unknown vertices"),
+        (vs, ((1, 2, 3), (2, 4, 5), (1, 2, 3)), "duplicate edge (1, 2, 3)"),
+        # two bad edges: the first one is named, whatever its fault
+        (vs, ok + ((1, 2, 9), (3, 2, 1)), "edge (1, 2, 9) uses unknown vertices"),
+        (vs, ok + ((3, 2, 1), (1, 2, 9)), "edge (3, 2, 1) is not sorted"),
+        (vs, ok + ((1, 2, 3), (1, 2)), "duplicate edge (1, 2, 3)"),
+        (vs, ok + ((1, 2), (1, 2, 3)), "edge (1, 2) is not an 3-set"),
+    ]
+    for vertices, edges, message in cases:
+        with pytest.raises(ParameterError) as info:
+            hh.Hypergraph(3, vertices, edges)
+        assert str(info.value) == message
+    h = hh.Hypergraph(3, vs, ok)
+    assert h.edges == ok
+    assert hh.Hypergraph(3, vs, ()).edges == ()
+
+
 # --- degeneracy -----------------------------------------------------------------
 
 def test_degeneracy_examples():

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from ramseykit import seqpat as sp
 from ramseykit import stepup as su
 from ramseykit.errors import FileFormatError, ParameterError
+from ramseykit.errors import check_declared, ints, records
 
 
 @pytest.fixture(scope="module")
@@ -461,6 +462,160 @@ def test_tabulated_roundtrip(base36):
     for bad in ("3 9", "0 3", "3 3"):
         with pytest.raises(FileFormatError, match="c.txt:7:"):
             su.parse_tabulated(head + bad + " b1\n", path="c.txt")
+
+
+def _reference_parse_tabulated(text, path=None):
+    """The parser as it was before colour tokens were parsed once each:
+    one parse_colour and one ints call per line."""
+    rows = records(text)
+    if not rows:
+        raise FileFormatError("empty colouring file", path=path)
+    headerline, head = rows[0]
+    if len(head) != 3:
+        raise FileFormatError("expected header 'k n q'", path=path, line=headerline)
+    k, n, q = ints(head, "header value", path, headerline)
+    check_declared(path, headerline, k=k, n=n, q=q)
+    table = {}
+    for lineno, toks in rows[1:]:
+        if len(toks) != k + 1:
+            raise FileFormatError(
+                f"expected {k} vertices and a colour", path=path, line=lineno
+            )
+        e = tuple(sorted(ints(toks[:k], "vertex", path, lineno)))
+        if len(set(e)) != k or any(v < 1 or v > n for v in e):
+            raise FileFormatError(
+                f"edge {e} is not a {k}-subset of 1..{n}", path=path, line=lineno
+            )
+        try:
+            col = su.parse_colour(toks[k])
+        except FileFormatError as exc:
+            raise FileFormatError(str(exc), path=path, line=lineno) from None
+        if e in table:
+            raise FileFormatError(f"duplicate edge {e}", path=path, line=lineno)
+        table[e] = col
+    palette = sorted(set(table.values()))
+    if len(palette) > q:
+        raise FileFormatError(
+            f"{len(palette)} distinct colours exceed declared budget {q}",
+            path=path,
+            line=headerline,
+        )
+    if all(c[0] == "base" for c in palette):
+        declared = [("base", i) for i in range(1, q + 1)]
+        if set(palette) <= set(declared):
+            palette = declared
+    try:
+        return su.TabulatedColouring(k, n, table, palette)
+    except ParameterError as exc:
+        raise FileFormatError(str(exc), path=path, line=headerline) from None
+
+
+def _parse_outcome(parse, text):
+    """What ``parse`` makes of ``text``: the colouring's codes, palette,
+    budget and export, or the error's text and location."""
+    try:
+        c = parse(text, path="c.txt")
+    except FileFormatError as exc:
+        return "error", str(exc), exc.path, exc.line
+    return "colouring", type(c.codes), c.codes, c.palette(), c.budget, su.format_tabulated(c)
+
+
+def _assert_parsers_agree(text):
+    got = _parse_outcome(su.parse_tabulated, text)
+    assert got == _parse_outcome(_reference_parse_tabulated, text)
+    return got
+
+
+def _scrambled(text, rng, aliases=None):
+    """``text`` with its edge lines shuffled, vertices permuted, colour
+    tokens swapped for ``aliases`` of the same colour, and ``#`` comments
+    and blank lines mixed in."""
+    head, *rows = text.splitlines()
+    rng.shuffle(rows)
+    out = [head + "  # k n q", ""]
+    for row in rows:
+        *vs, tok = row.split()
+        rng.shuffle(vs)
+        tok = rng.choice((aliases or {}).get(tok, [tok]))
+        out.append(" ".join(vs) + " " + tok)
+        if rng.random() < 0.1:
+            out.append(rng.choice(("", "# comment", "   ", "\t# 1 2 b1")))
+        if rng.random() < 0.1:
+            out[-1] += " # trailing"
+    return "\n".join(out) + "\n"
+
+
+def test_parse_tabulated_matches_reference_on_random_files():
+    rng = random.Random(33)
+    for k, n, q in ((1, 12, 300), (1, 5, 1), (2, 10, 3), (2, 25, 300), (3, 9, 5),
+                    (3, 12, 4), (4, 8, 2), (4, 9, 40)):
+        for seed in range(3):
+            text = su.format_tabulated(su.random_colouring(k, n, q, seed))
+            for _ in range(2):
+                got = _assert_parsers_agree(_scrambled(text, rng))
+                assert got[0] == "colouring" and got[-1] == text
+
+
+def test_parse_tabulated_matches_reference_on_colour_aliases():
+    # the same colour under several spellings, and every colour shape
+    spellings = {
+        "b1": ["b1", "(b1)", "((b1))"],
+        "b3*1": ["b3*1", "(b3)*1"],
+        "{b1,b2}": ["{b1,b2}", "{(b1),b2}", "({b1,b2})"],
+        "c2": ["c2", "(c2)"],
+        "b2*1*4": ["b2*1*4", "(b2*1)*4"],
+    }
+    rng = random.Random(7)
+    for k, n in ((1, 9), (2, 8), (3, 7)):
+        lines = [f"{k} {n} {len(spellings)}"]
+        for e in itertools.combinations(range(1, n + 1), k):
+            lines.append(" ".join(map(str, e)) + " " + rng.choice(list(spellings)))
+        text = "\n".join(lines) + "\n"
+        assert _assert_parsers_agree(text)[0] == "colouring"
+        for _ in range(3):
+            got = _assert_parsers_agree(_scrambled(text, rng, spellings))
+            assert got[0] == "colouring"
+
+
+def test_parse_tabulated_errors_match_reference():
+    text = su.format_tabulated(su.random_colouring(3, 7, 3, seed=4))
+    head, *rows = text.splitlines()
+
+    def with_row(i, row):
+        return "\n".join([head, *rows[:i], row, *rows[i + 1:]]) + "\n"
+
+    last = len(rows) - 1
+    bad = {
+        "empty": "# nothing\n\n",
+        "short header": "3 7\n",
+        "bad header": "3 x 3\n",
+        "header above the limit": "3 100001 3\n",
+        "token count": with_row(5, "1 2 b1"),
+        "too many tokens": with_row(last, "1 2 3 4 b1"),
+        "vertex first": with_row(5, "x 2 3 b1"),
+        "vertex middle": with_row(5, "1 2.0 3 b1"),
+        "vertex last": with_row(last, "1 2 -x b1"),
+        "two bad vertices": with_row(5, "1 y x b1"),
+        "vertex 0": with_row(5, "2 0 3 b1"),
+        "vertex n+1": with_row(last, "1 8 3 b1"),
+        "repeated vertex": with_row(5, "4 2 4 b1"),
+        "late bad colour": with_row(last, "5 6 7 b"),
+        "late bad colour shape": with_row(last, "5 6 7 {b1,b2"),
+        "bad colour and vertex": with_row(5, "1 2 9 bb"),
+        "duplicate edge": with_row(last, " ".join(reversed(rows[3].split()[:3])) + " b2"),
+        "colours above q": text.replace("3 7 3", "3 7 2", 1),
+        "too few edges": "\n".join([head, *rows[:-1]]) + "\n",
+        "expected more than": "3 100 2\n1 2 3 b1\n",
+        "binomial above the cap": "50000 100000 2\n",
+        "k = 0": "0 3 1\nb1\n",
+        "k = 0, two lines": "0 3 1\nb1\n(b1)\n",
+    }
+    for name, case in bad.items():
+        got = _assert_parsers_agree(case)
+        assert got[0] == "error" and got[2] == "c.txt", name
+    lines = {name: _parse_outcome(su.parse_tabulated, case)[3] for name, case in bad.items()}
+    assert lines["late bad colour"] == lines["vertex last"] == len(rows) + 1
+    assert lines["too few edges"] == lines["expected more than"] == 1
 
 
 # --- witness extraction ---------------------------------------------------------
